@@ -11,7 +11,6 @@ steady-state posterior voltage blocks.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -20,9 +19,11 @@ import scipy.linalg
 
 from .discretize import discretize_euler, discretize_exact
 from .kalman import (
+    CovarianceError,
     KalmanEstimator,
     NoiseSpec,
     effective_process_noise,
+    filter_record,
     steady_state_covariance,
 )
 from .models import (
@@ -179,10 +180,14 @@ def _check_rate(trace_step: float, rate_hz: float, what: str) -> None:
         )
 
 
+def _filter_failure(what: str, t, k: int, exc: Exception) -> RuntimeError:
+    return RuntimeError(f"{what}: filter failure at sample {k} (t={t[k]:.6f}s): {exc}")
+
+
 def _run_filter(kf: KalmanEstimator, t, z, u, labels, t_step, what: str) -> EstimateTrace:
-    """Shared recursion: sample 0 initializes from the measurement, then each
-    sample k predicts with the input recorded at k-1 (the value held over
-    the preceding interval) and updates with the measurement at k."""
+    """Step-by-step recursion: sample 0 initializes from the measurement, then
+    each sample k predicts with the input recorded at k-1 (the value held
+    over the preceding interval) and updates with the measurement at k."""
     n = t.shape[0]
     dim = kf.n_states
     x_hat = np.empty((n, dim))
@@ -193,9 +198,7 @@ def _run_filter(kf: KalmanEstimator, t, z, u, labels, t_step, what: str) -> Esti
         try:
             kf.step(u[k - 1], z[k])
         except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                f"{what}: filter failure at sample {k} (t={t[k]:.6f}s): {exc}"
-            ) from exc
+            raise _filter_failure(what, t, k, exc) from exc
         x_hat[k] = kf.x_hat
         nis[k] = kf.nis
     return EstimateTrace(
@@ -204,28 +207,29 @@ def _run_filter(kf: KalmanEstimator, t, z, u, labels, t_step, what: str) -> Esti
 
 
 def run_local(est: LocalEstimator, trace: Trace) -> EstimateTrace:
-    """Run one local estimator over the measured state/input channels of its bus."""
+    """Run one local estimator over the measured state/input channels of its
+    bus: the same recursion as ``_run_filter``, split into a data-free gain
+    schedule and a state pass (``kalman.filter_record``)."""
     _check_rate(trace.t_step_s, est.rate_hz, f"local estimator (bus {est.bus})")
     cols = est.state_columns
     z = trace.z_state[:, cols]
     u = trace.u_meas[:, est.input_columns]
     labels = tuple(trace.state_labels[c] for c in cols)
-    return _run_filter(
-        est.kf, trace.t, z, u, labels, trace.t_step_s, f"local estimator bus {est.bus}"
+    try:
+        x_hat, nis = filter_record(est.kf, z, u)
+    except CovarianceError as exc:
+        raise _filter_failure(f"local estimator bus {est.bus}", trace.t, exc.step, exc) from exc
+    return EstimateTrace(
+        t=trace.t.copy(), t_step_s=trace.t_step_s, x_hat=x_hat, labels=labels, nis=nis
     )
 
 
-def run_locals(
-    estimators: list[LocalEstimator], trace: Trace, parallel: bool = False
-) -> dict[int, EstimateTrace]:
-    """Run independent local estimators; scheduling cannot change the results.
+def run_locals(estimators: list[LocalEstimator], trace: Trace) -> dict[int, EstimateTrace]:
+    """Run independent local estimators, one bus at a time; a bus's result
+    depends on its own channels only.
 
     Estimators are stateful, so pass freshly built instances.
     """
-    if parallel:
-        with ThreadPoolExecutor(max_workers=len(estimators)) as pool:
-            futures = {est.bus: pool.submit(run_local, est, trace) for est in estimators}
-            return {bus: fut.result() for bus, fut in futures.items()}
     return {est.bus: run_local(est, trace) for est in estimators}
 
 

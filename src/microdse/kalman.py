@@ -5,6 +5,16 @@ measured directly), so the innovation covariance is simply R + P.  Input
 measurements carry their own zero-mean noise; its effect on the state
 prediction is folded into an effective process covariance
 ``Q_eff = B_d M B_d^T + Q`` once at construction time.
+
+With H = I and constant Q_eff and R, the gain and innovation covariance
+sequences do not depend on the data.  ``filter_record`` therefore runs a
+whole record as two layers: ``gain_schedule`` iterates the covariance
+recursion alone until consecutive posteriors agree, and a state pass
+then applies those gains, with the last one held as the steady-state
+gain (Anderson & Moore, *Optimal Filtering*, 1979, ch. 4).
+``steady_state_covariance`` takes the limit directly from the discrete
+algebraic Riccati equation (DARE; Arnold & Laub, Proc. IEEE 1984).
+``KalmanEstimator`` keeps the per-step form of the same recursion.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_lapack_funcs, solve_discrete_are
 
 from .discretize import DiscreteLtiModel
 
@@ -21,6 +31,17 @@ _sysv, = get_lapack_funcs(("sysv",), (np.empty((1, 1), dtype=float),))
 #: Tolerances for covariance validation.
 SYMMETRY_TOL = 1e-10
 EIGENVALUE_TOL = -1e-10
+#: Consecutive posterior covariances that agree to this relative
+#: tolerance mark the covariance recursion as converged.
+STEADY_STATE_RTOL = 1e-13
+
+
+class CovarianceError(np.linalg.LinAlgError):
+    """A covariance update failed; ``step`` counts updates from 1."""
+
+    def __init__(self, step: int, message: str):
+        super().__init__(message)
+        self.step = step
 
 
 def _check_covariance(name: str, m: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -76,11 +97,44 @@ def effective_process_noise(q: np.ndarray, b_d: np.ndarray, m: np.ndarray) -> np
     return 0.5 * (out + out.T)
 
 
+def _predict_covariance(a_d: np.ndarray, p: np.ndarray, q_eff: np.ndarray) -> np.ndarray:
+    p_prior = a_d @ p @ a_d.T + q_eff
+    return 0.5 * (p_prior + p_prior.T)
+
+
+def _solve_innovation(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """S^-1 rhs through a symmetric LDL^T factorization of the innovation
+    covariance S, rejecting S that is indefinite or numerically singular."""
+    factor, ipiv, sol, info = _sysv(s, rhs, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"innovation covariance is singular (sysv info={info})"
+        )
+    diag = np.diagonal(factor)
+    if (ipiv <= 0).any() or (diag <= 0.0).any():
+        raise np.linalg.LinAlgError(
+            "innovation covariance is not positive definite; "
+            "check that R is PSD and P has not collapsed"
+        )
+    # the pivot spread lower-bounds the condition number of S
+    if diag.max() > 1e12 * diag.min():
+        raise np.linalg.LinAlgError(
+            "innovation covariance is numerically singular (condition number > 1e12)"
+        )
+    return sol
+
+
+def _joseph_update(p_prior: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    i_k = np.eye(k.shape[0]) - k
+    p = (i_k @ p_prior) @ i_k.T + (k @ r) @ k.T
+    return 0.5 * (p + p.T)
+
+
 class KalmanEstimator:
     """Stateful predict/update recursion over a discrete LTI model.
 
     One instance is owned by exactly one caller at a time; distinct
-    instances are fully independent and may run in parallel.
+    instances are fully independent.
     """
 
     def __init__(
@@ -114,7 +168,6 @@ class KalmanEstimator:
         self.nis: float | None = None
         self._a_d = model.a_d
         self._b_d = model.b_d
-        self._eye = np.eye(n)
 
     @property
     def n_states(self) -> int:
@@ -128,8 +181,7 @@ class KalmanEstimator:
                 f"input must have shape ({self.model.n_inputs},), got {u.shape}"
             )
         self.x_hat = self._a_d @ self.x_hat + self._b_d @ u
-        p = self._a_d @ self.p @ self._a_d.T + self.q_eff
-        self.p = 0.5 * (p + p.T)
+        self.p = _predict_covariance(self._a_d, self.p, self.q_eff)
 
     def update(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fold in a full-state measurement; returns (innovation, post-fit residual).
@@ -149,27 +201,10 @@ class KalmanEstimator:
         rhs = np.empty((n, n + 1))
         rhs[:, :n] = p_prior
         rhs[:, n] = innovation
-        factor, ipiv, sol, info = _sysv(s, rhs, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(
-                f"innovation covariance is singular (sysv info={info})"
-            )
-        diag = np.diagonal(factor)
-        if (ipiv <= 0).any() or (diag <= 0.0).any():
-            raise np.linalg.LinAlgError(
-                "innovation covariance is not positive definite; "
-                "check that R is PSD and P has not collapsed"
-            )
-        # the pivot spread lower-bounds the condition number of S
-        if diag.max() > 1e12 * diag.min():
-            raise np.linalg.LinAlgError(
-                "innovation covariance is numerically singular (condition number > 1e12)"
-            )
+        sol = _solve_innovation(s, rhs)
         k = sol[:, :n].T
         self.x_hat = self.x_hat + k @ innovation
-        i_k = self._eye - k
-        p = (i_k @ p_prior) @ i_k.T + (k @ self.r) @ k.T
-        self.p = 0.5 * (p + p.T)
+        self.p = _joseph_update(p_prior, k, self.r)
         self.nis = float(innovation @ sol[:, n])
         self.innovation = innovation
         self.innovation_cov = s
@@ -202,26 +237,148 @@ def innovation_consistency(
     return float(np.mean(np.sum(innovations * solved, axis=1)))
 
 
-def steady_state_covariance(
-    a_d: np.ndarray,
-    q_eff: np.ndarray,
-    r: np.ndarray,
-    tol: float = 1e-13,
-    max_iter: int = 1_000_000,
-) -> np.ndarray:
-    """Posterior covariance fixed point of the predict/update recursion."""
-    a_d = np.asarray(a_d, dtype=float)
+@dataclass(frozen=True)
+class GainSchedule:
+    """Gains of the first updates of a recursion, which depend on no data.
+
+    ``gains[k]`` and ``s_inv[k]`` are the gain and the inverse innovation
+    covariance of update k + 1; ``p`` is the posterior covariance after
+    the last of them.  When ``converged``, that posterior agrees with the
+    one before it, and the last gain serves every later update.
+    """
+
+    gains: np.ndarray
+    s_inv: np.ndarray
+    p: np.ndarray
+    converged: bool
+
+
+def gain_schedule(
+    a_d: np.ndarray, q_eff: np.ndarray, r: np.ndarray, p0: np.ndarray, max_steps: int
+) -> GainSchedule:
+    """Covariance layer: the predict/update recursion of ``KalmanEstimator``
+    without the state, from the covariance ``p0`` of the initial estimate,
+    for at most ``max_steps`` updates, stopping once consecutive posteriors
+    agree to ``STEADY_STATE_RTOL``.  Raises ``CovarianceError`` naming the
+    failed update."""
     n = a_d.shape[0]
-    eye = np.eye(n)
-    p = np.asarray(r, dtype=float).copy()
-    for _ in range(max_iter):
-        p_prior = a_d @ p @ a_d.T + q_eff
-        s = r + p_prior
-        k = np.linalg.solve(s, p_prior).T
-        i_k = eye - k
-        p_next = (i_k @ p_prior) @ i_k.T + (k @ r) @ k.T
-        p_next = 0.5 * (p_next + p_next.T)
-        if np.abs(p_next - p).max() <= tol * max(1.0, np.abs(p_next).max()):
-            return p_next
+    rhs = np.empty((n, 2 * n))
+    rhs[:, n:] = np.eye(n)
+    gains, s_inv = [], []
+    p = p0
+    converged = False
+    for step in range(1, max_steps + 1):
+        p_prior = _predict_covariance(a_d, p, q_eff)
+        rhs[:, :n] = p_prior
+        try:
+            sol = _solve_innovation(r + p_prior, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise CovarianceError(step, str(exc)) from exc
+        k = sol[:, :n].T
+        gains.append(k)
+        s_inv.append(sol[:, n:])
+        p_next = _joseph_update(p_prior, k, r)
+        converged = np.abs(p_next - p).max() <= STEADY_STATE_RTOL * max(
+            1.0, np.abs(p_next).max()
+        )
         p = p_next
-    raise RuntimeError("covariance iteration did not converge")
+        if converged:
+            break
+    return GainSchedule(
+        gains=np.array(gains).reshape(-1, n, n),
+        s_inv=np.array(s_inv).reshape(-1, n, n),
+        p=p,
+        converged=bool(converged),
+    )
+
+
+#: Rows per block of ``_linear_recursion``.
+_BLOCK = 64
+
+
+def _linear_recursion(f: np.ndarray, x0: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Rows x_1..x_N of x_k = f x_{k-1} + g_k, from x0.
+
+    The rows are cut into blocks of ``_BLOCK``.  One pass over the block
+    offsets runs every block at once from a zero state; a pass over the
+    blocks then carries each block's end state into the next, and adds
+    f^j times a block's start state to its j-th row.  That is
+    N / _BLOCK + _BLOCK small steps in Python instead of N.
+    """
+    steps, n = g.shape
+    blocks = -(-steps // _BLOCK)
+    padded = np.zeros((blocks * _BLOCK, n))
+    padded[:steps] = g
+    y = padded.reshape(blocks, _BLOCK, n)
+    for j in range(1, _BLOCK):
+        y[:, j] += y[:, j - 1] @ f.T
+    powers = np.empty((_BLOCK, n, n))
+    powers[0] = f
+    for j in range(1, _BLOCK):
+        powers[j] = f @ powers[j - 1]
+    starts = np.empty((blocks, n))
+    x = x0
+    for b in range(blocks):
+        starts[b] = x
+        x = powers[-1] @ x + y[b, -1]
+    y += np.einsum("jrc,bc->bjr", powers, starts)
+    return padded[:steps]
+
+
+def filter_record(
+    kf: KalmanEstimator, z: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``kf`` over a whole record; returns the estimates and the NIS.
+
+    Sample 0 initializes the estimate from ``z[0]`` (NaN NIS); each sample
+    k >= 1 predicts with ``u[k-1]`` and updates with ``z[k]``, as
+    ``kf.step`` would.  The gains come from ``gain_schedule``; once they
+    have converged to K, the rest of the record is the linear recursion
+    x_k = (I - K) A x_{k-1} + (I - K) B u_{k-1} + K z_k.  ``kf`` is left
+    with the final estimate and posterior covariance.
+    """
+    n = z.shape[0]
+    a_d, b_d = kf.model.a_d, kf.model.b_d
+    sched = gain_schedule(a_d, kf.q_eff, kf.r, kf.p, n - 1)
+    m = sched.gains.shape[0]
+    bu = u[: n - 1] @ b_d.T
+    x_hat = np.empty_like(z)
+    x = x_hat[0] = z[0]
+    for k in range(1, m + 1):
+        x_prior = a_d @ x + bu[k - 1]
+        x = x_hat[k] = x_prior + sched.gains[k - 1] @ (z[k] - x_prior)
+    if m < n - 1:
+        k_inf = sched.gains[-1]
+        i_k = np.eye(k_inf.shape[0]) - k_inf
+        g = bu[m:] @ i_k.T + z[m + 1 :] @ k_inf.T
+        x_hat[m + 1 :] = _linear_recursion(i_k @ a_d, x_hat[m], g)
+    innovation = z[1:] - (x_hat[:-1] @ a_d.T + bu)
+    nis = np.full(n, np.nan)
+    nis[1 : m + 1] = np.einsum(
+        "ki,kij,kj->k", innovation[:m], sched.s_inv, innovation[:m]
+    )
+    if m < n - 1:
+        tail = innovation[m:]
+        nis[m + 1 :] = np.einsum("ki,ki->k", tail @ sched.s_inv[-1].T, tail)
+    kf.x_hat = x_hat[-1].copy()
+    kf.p = sched.p
+    return x_hat, nis
+
+
+def steady_state_covariance(
+    a_d: np.ndarray, q_eff: np.ndarray, r: np.ndarray
+) -> np.ndarray:
+    """Posterior covariance fixed point of the predict/update recursion.
+
+    The prior fixed point solves the filtering DARE, the dual of the
+    control one: P = A P A^T - A P (P + R)^-1 P A^T + Q_eff.  One update
+    step then gives the posterior.
+    """
+    a_d = np.asarray(a_d, dtype=float)
+    q_eff = np.asarray(q_eff, dtype=float)
+    r = np.asarray(r, dtype=float)
+    n = a_d.shape[0]
+    p_prior = solve_discrete_are(a_d.T, np.eye(n), q_eff, r)
+    p_prior = 0.5 * (p_prior + p_prior.T)
+    k = _solve_innovation(r + p_prior, p_prior).T
+    return _joseph_update(p_prior, k, r)

@@ -51,15 +51,13 @@ def simulate_scenario(scn: ScenarioConfig) -> Trace:
     return run_plant(scn.sim)
 
 
-def estimate_scenario(
-    scn: ScenarioConfig, trace: Trace, parallel: bool = False
-) -> EstimationResult:
+def estimate_scenario(scn: ScenarioConfig, trace: Trace) -> EstimationResult:
     """Run the local estimators at their rate and the global one below them."""
     est = scn.estimation
     topology = scn.sim.topology
     local_trace = downsample(trace, est.local_rate_hz)
     estimators = build_local_estimators(scn)
-    local_estimates = run_locals(estimators, local_trace, parallel=parallel)
+    local_estimates = run_locals(estimators, local_trace)
 
     posteriors = {e.bus: local_posterior_covariance(e) for e in estimators}
     m_global = global_input_covariance(topology, posteriors)

@@ -3,12 +3,12 @@
 Schema: first column ``t`` in seconds with 9 decimal places, then one
 column per labeled channel.  Channel values are written with shortest
 round-trip float formatting, so a written trace reads back
-value-identical.
+value-identical.  A header with no rows is an empty trace.
 """
 
 from __future__ import annotations
 
-import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,18 +30,42 @@ def write_csv(path: str | Path, t: np.ndarray, columns: dict[str, np.ndarray]) -
             fh.write(",".join(row) + "\n")
 
 
+def _bad_row(path: Path, n_columns: int) -> str | None:
+    """The first data line that does not hold ``n_columns`` numbers."""
+    with path.open() as fh:
+        next(fh)
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.rstrip("\r\n").split(",")
+            if fields == [""]:
+                continue
+            if len(fields) != n_columns:
+                return f"line {lineno} has {len(fields)} columns, the header has {n_columns}"
+            try:
+                [float(v) for v in fields]
+            except ValueError as exc:
+                return f"line {lineno}: {exc}"
+    return None
+
+
 def read_csv(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row") from None
-        if not header or header[0] != "t":
+    with path.open() as fh:
+        line = fh.readline()
+        if not line:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        header = line.rstrip("\r\n").split(",")
+        if header[0] != "t":
             raise ValueError(f"{path}: first column must be 't', got {header[:1]}")
-        labels = header[1:]
-        rows = [[float(v) for v in row] for row in reader if row]
-    data = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+        with warnings.catch_warnings():
+            # a header with no rows is the documented empty trace
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {_bad_row(path, len(header)) or exc}") from None
+    if data.size == 0:
+        data = np.empty((0, len(header)))
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: {_bad_row(path, len(header))}")
     t = data[:, 0]
-    return t, {lab: data[:, i + 1] for i, lab in enumerate(labels)}
+    return t, {lab: data[:, i + 1] for i, lab in enumerate(header[1:])}

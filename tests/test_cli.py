@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,38 @@ def test_csv_round_trip_is_value_identical(tmp_path):
     np.testing.assert_array_equal(t, t2)
     for lab in cols:
         np.testing.assert_array_equal(cols[lab], cols2[lab])
+
+
+def test_header_only_csv_reads_as_empty_columns(tmp_path):
+    path = tmp_path / "empty.csv"
+    write_csv(path, np.empty(0), {"a": np.empty(0), "b": np.empty(0)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, cols = read_csv(path)
+    assert t.shape == (0,)
+    assert list(cols) == ["a", "b"]
+    assert all(c.shape == (0,) for c in cols.values())
+
+
+def test_csv_ragged_row_names_the_line(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("t,a,b\n0.0,1.0,2.0\n0.1,1.0\n0.2,1.0,2.0\n")
+    with pytest.raises(ValueError, match="line 3 has 2 columns"):
+        read_csv(path)
+    path.write_text("t,a,b\n0.0,1.0\n")
+    with pytest.raises(ValueError, match="line 2 has 2 columns"):
+        read_csv(path)
+    path.write_text("t,a\n0.0,1.0\n0.1,abc\n")
+    with pytest.raises(ValueError, match="line 3"):
+        read_csv(path)
+
+
+def test_csv_nan_tokens_parse(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("t,a\n0.0,nan\n0.1,1.5\n")
+    t, cols = read_csv(path)
+    np.testing.assert_array_equal(t, [0.0, 0.1])
+    np.testing.assert_array_equal(cols["a"], [np.nan, 1.5])
 
 
 def test_same_seed_reruns_are_byte_identical(short_config, tmp_path):

@@ -166,12 +166,39 @@ def test_local_runs_are_schedule_independent(reference_scenario):
             for b in order
         ]
 
-    seq = run_locals(fresh([1, 2, 3]), trace, parallel=False)
-    rev = run_locals(fresh([3, 1, 2]), trace, parallel=False)
-    par = run_locals(fresh([1, 2, 3]), trace, parallel=True)
+    batch = run_locals(fresh([1, 2, 3]), trace)
+    rev = run_locals(fresh([3, 2, 1]), trace)
     for bus in (1, 2, 3):
-        np.testing.assert_array_equal(seq[bus].x_hat, rev[bus].x_hat)
-        np.testing.assert_array_equal(seq[bus].x_hat, par[bus].x_hat)
+        alone = run_locals(fresh([bus]), trace)[bus]
+        np.testing.assert_array_equal(alone.x_hat, batch[bus].x_hat)
+        np.testing.assert_array_equal(alone.x_hat, rev[bus].x_hat)
+        np.testing.assert_array_equal(alone.nis, batch[bus].nis)
+
+
+def test_nan_measurement_stays_on_its_own_bus(reference_scenario):
+    scn = reference_scenario
+    sim = dataclasses.replace(scn.sim, duration_s=0.05, events=EventSchedule())
+    trace = run_plant(sim)
+    z_state = trace.z_state.copy()
+    z_state[100, 0] = np.nan  # bus 1, v_d
+    poisoned = dataclasses.replace(trace, z_state=z_state)
+
+    def estimates(tr):
+        return run_locals(
+            [
+                build_local_estimator(
+                    sim.topology, b, scn.estimation.local_noise, 10_000.0
+                )
+                for b in (1, 2, 3)
+            ],
+            tr,
+        )
+
+    clean, dirty = estimates(trace), estimates(poisoned)
+    assert np.isnan(dirty[1].x_hat[100:]).any()
+    for bus in (2, 3):
+        np.testing.assert_array_equal(dirty[bus].x_hat, clean[bus].x_hat)
+        np.testing.assert_array_equal(dirty[bus].nis, clean[bus].nis)
 
 
 def test_global_consumes_every_kth_local_sample(reference_scenario):

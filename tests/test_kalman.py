@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microdse import (
     DiscreteLtiModel,
@@ -12,6 +14,12 @@ from microdse import (
     effective_process_noise,
     innovation_consistency,
     steady_state_covariance,
+)
+from microdse.kalman import (
+    CovarianceError,
+    _linear_recursion,
+    filter_record,
+    gain_schedule,
 )
 from microdse.models import DguParams
 
@@ -313,3 +321,107 @@ def test_update_rejects_wrong_measurement_shape():
     est = scalar_estimator()
     with pytest.raises(ValueError):
         est.update(np.array([1.0, 2.0]))
+
+
+def _random_filter(seed, n, n_inputs, radius):
+    """A stable model with random PSD q_eff, r and p0 (r kept well conditioned)."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    a *= radius / max(np.abs(np.linalg.eigvals(a)).max(), 1e-12)
+    b = rng.standard_normal((n, n_inputs))
+    gq, gr, gp = (rng.standard_normal((n, n)) for _ in range(3))
+    # small q with a slow model gives a steady gain with slow closed-loop
+    # dynamics, which carry state across many samples
+    q = gq @ gq.T * 10.0 ** rng.uniform(-6.0, 0.3)
+    r = gr @ gr.T + np.diag(rng.uniform(0.1, 1.0, n))
+    p0 = gp @ gp.T * rng.uniform(0.0, 5.0)
+    model = DiscreteLtiModel(a, b, 1.0, "euler")
+    return model, q, r, p0, rng
+
+
+def _step_oracle(kf, z, u):
+    """The recursion one ``KalmanEstimator.step`` at a time."""
+    x_hat = np.empty_like(z)
+    nis = np.full(z.shape[0], np.nan)
+    kf.x_hat = z[0].copy()
+    x_hat[0] = kf.x_hat
+    for k in range(1, z.shape[0]):
+        kf.step(u[k - 1], z[k])
+        x_hat[k] = kf.x_hat
+        nis[k] = kf.nis
+    return x_hat, nis
+
+
+def _assert_close(actual, expected, rtol=1e-9):
+    scale = max(1.0, float(np.abs(expected[np.isfinite(expected)]).max(initial=0.0)))
+    np.testing.assert_array_equal(np.isnan(actual), np.isnan(expected))
+    assert np.nanmax(np.abs(actual - expected), initial=0.0) <= rtol * scale
+
+
+def _compare_with_oracle(seed, n, n_inputs, radius, steps):
+    model, q, r, p0, rng = _random_filter(seed, n, n_inputs, radius)
+    z = rng.standard_normal((steps, n)) * 10.0 + 50.0
+    u = rng.standard_normal((steps, n_inputs))
+    split = KalmanEstimator(model, q_eff=q, r=r, p0=p0)
+    oracle = KalmanEstimator(model, q_eff=q, r=r, p0=p0)
+    x_hat, nis = filter_record(split, z, u)
+    x_ref, nis_ref = _step_oracle(oracle, z, u)
+    _assert_close(x_hat, x_ref)
+    _assert_close(nis[1:], nis_ref[1:])
+    _assert_close(split.x_hat, oracle.x_hat)
+    _assert_close(split.p, oracle.p)
+    return gain_schedule(model.a_d, q, r, p0, steps - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    n_inputs=st.integers(1, 4),
+    radius=st.floats(0.0, 0.999),
+    steps=st.integers(2, 700),
+)
+def test_split_filter_matches_step_oracle(seed, n, n_inputs, radius, steps):
+    _compare_with_oracle(seed, n, n_inputs, radius, steps)
+
+
+@pytest.mark.parametrize("seed,radius", [(3, 0.9), (4, 0.9), (5, 0.999)])
+def test_split_filter_matches_oracle_on_both_sides_of_convergence(seed, radius):
+    model, q, r, p0, _ = _random_filter(seed, 4, 2, radius)
+    converged_at = gain_schedule(model.a_d, q, r, p0, 100_000).gains.shape[0]
+    assert 2 < converged_at < 5_000
+    before = _compare_with_oracle(seed, 4, 2, radius, converged_at)
+    assert not before.converged
+    after = _compare_with_oracle(seed, 4, 2, radius, converged_at + 500)
+    assert after.converged and after.gains.shape[0] == converged_at
+
+
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 1000])
+def test_blocked_linear_recursion_matches_loop(steps):
+    rng = np.random.default_rng(steps)
+    theta = 0.01
+    f = 0.9999 * np.array([[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]])
+    x0 = np.array([100.0, -40.0])
+    g = rng.standard_normal((steps, 2))
+    expected = np.empty_like(g)
+    x = x0
+    for k in range(steps):
+        x = expected[k] = f @ x + g[k]
+    np.testing.assert_allclose(_linear_recursion(f, x0, g), expected, rtol=0, atol=1e-11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), radius=st.floats(0.0, 0.98))
+def test_dare_steady_state_matches_riccati_iteration(seed, n, radius):
+    model, q, r, _, _ = _random_filter(seed, n, 1, radius)
+    p_star = _riccati_oracle(model.a_d, q, r)
+    p_dare = steady_state_covariance(model.a_d, q, r)
+    assert np.abs(p_dare - p_star).max() <= 1e-9 * max(1.0, np.abs(p_star).max())
+
+
+def test_gain_schedule_reports_the_failed_update():
+    model = DiscreteLtiModel(np.eye(2), np.zeros((2, 1)), 1.0, "euler")
+    zero = np.zeros((2, 2))
+    with pytest.raises(CovarianceError) as info:
+        gain_schedule(model.a_d, zero, zero, zero, 10)
+    assert info.value.step == 1
