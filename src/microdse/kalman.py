@@ -296,33 +296,43 @@ def gain_schedule(
 _BLOCK = 64
 
 
-def _linear_recursion(f: np.ndarray, x0: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Rows x_1..x_N of x_k = f x_{k-1} + g_k, from x0.
+def _linear_recursion(
+    f: np.ndarray, x0: np.ndarray, g: np.ndarray, f_block: np.ndarray | None = None
+) -> np.ndarray:
+    """Overwrite the rows g_1..g_N of ``g`` with x_1..x_N of
+    x_k = f x_{k-1} + g_k, from x0, and return ``g``.  ``f_block`` is
+    f^_BLOCK, for callers that run many records with the same f.
 
     The rows are cut into blocks of ``_BLOCK``.  One pass over the block
-    offsets runs every block at once from a zero state; a pass over the
-    blocks then carries each block's end state into the next, and adds
-    f^j times a block's start state to its j-th row.  That is
-    N / _BLOCK + _BLOCK small steps in Python instead of N.
+    offsets runs every block at once from a zero state.  A pass over the
+    blocks then carries each block's end state into the next with
+    f^_BLOCK, and a second pass over the offsets adds f^(j+1) times every
+    block's start state to its j-th row, one matrix product per offset.
+    That is N / _BLOCK + 2 _BLOCK small steps in Python instead of N, with
+    one row per block of memory besides ``g``.  Rows after the last full
+    block are stepped one at a time.
     """
+    if not g.flags.c_contiguous:
+        raise ValueError("the recursion runs in place on a C-contiguous array")
     steps, n = g.shape
-    blocks = -(-steps // _BLOCK)
-    padded = np.zeros((blocks * _BLOCK, n))
-    padded[:steps] = g
-    y = padded.reshape(blocks, _BLOCK, n)
+    blocks = steps // _BLOCK
+    y = g[: blocks * _BLOCK].reshape(blocks, _BLOCK, n)
+    ft = f.T
     for j in range(1, _BLOCK):
-        y[:, j] += y[:, j - 1] @ f.T
-    powers = np.empty((_BLOCK, n, n))
-    powers[0] = f
-    for j in range(1, _BLOCK):
-        powers[j] = f @ powers[j - 1]
+        y[:, j] += y[:, j - 1] @ ft
+    if f_block is None and blocks:
+        f_block = np.linalg.matrix_power(f, _BLOCK)
     starts = np.empty((blocks, n))
     x = x0
     for b in range(blocks):
         starts[b] = x
-        x = powers[-1] @ x + y[b, -1]
-    y += np.einsum("jrc,bc->bjr", powers, starts)
-    return padded[:steps]
+        x = f_block @ x + y[b, -1]
+    for j in range(_BLOCK):
+        starts = starts @ ft
+        y[:, j] += starts
+    for k in range(blocks * _BLOCK, steps):
+        x = g[k] = f @ x + g[k]
+    return g
 
 
 def filter_record(
@@ -342,7 +352,7 @@ def filter_record(
     sched = gain_schedule(a_d, kf.q_eff, kf.r, kf.p, n - 1)
     m = sched.gains.shape[0]
     bu = u[: n - 1] @ b_d.T
-    x_hat = np.empty_like(z)
+    x_hat = np.empty(z.shape)
     x = x_hat[0] = z[0]
     for k in range(1, m + 1):
         x_prior = a_d @ x + bu[k - 1]
@@ -350,8 +360,10 @@ def filter_record(
     if m < n - 1:
         k_inf = sched.gains[-1]
         i_k = np.eye(k_inf.shape[0]) - k_inf
-        g = bu[m:] @ i_k.T + z[m + 1 :] @ k_inf.T
-        x_hat[m + 1 :] = _linear_recursion(i_k @ a_d, x_hat[m], g)
+        rest = x_hat[m + 1 :]
+        np.matmul(bu[m:], i_k.T, out=rest)
+        rest += z[m + 1 :] @ k_inf.T
+        _linear_recursion(i_k @ a_d, x_hat[m], rest)
     innovation = z[1:] - (x_hat[:-1] @ a_d.T + bu)
     nis = np.full(n, np.nan)
     nis[1 : m + 1] = np.einsum(

@@ -5,18 +5,37 @@ discretization at the plant step, regulates each DGU terminal voltage
 with a PI law, applies scheduled load-step events, and attaches seeded
 measurement/input noise to the recorded streams.  Same config and seed
 always reproduce bit-identical traces.
+
+While the regulator's clamp is out of play, plant plus regulator is one
+linear system over xi = [plant states, integrators d, q], and
+``_closed_loop`` builds it once: xi_{k+1} = A_cl xi_k + G e_k, with the
+droop-shifted reference and the loads as exogenous inputs e_k and the
+process noise added on the plant rows.  ``run_plant`` runs that
+recursion over the record in segments of blocks
+(``kalman._linear_recursion``) and reads the raw regulator output of a
+segment's samples off xi with one product.
+From the first sample where that output reaches the clamp it steps the
+rest of the record per sample through ``VoltageRegulator.step``, the one
+home of the clip and the conditional anti-windup.  ``closed_loop_matrix``
+returns A_cl for the stability check.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .discretize import discretize_exact
-from .kalman import NoiseSpec
-from .models import MicrogridTopology, build_coupled_plant, dgu_input_labels
+from .discretize import DiscreteLtiModel, discretize_exact
+from .kalman import _BLOCK, NoiseSpec, _linear_recursion
+from .models import (
+    ContinuousLtiModel,
+    MicrogridTopology,
+    build_coupled_plant,
+    dgu_input_labels,
+)
 
 
 class SimulationDivergedError(RuntimeError):
@@ -347,6 +366,66 @@ def regulated_equilibrium(
     return x, integ_d, integ_q, np.column_stack([v_td, v_tq])
 
 
+class _Loop(NamedTuple):
+    """The simulated plant as the linear recursion xi_{k+1} = a xi_k + g e_k.
+
+    ``xi`` stacks the plant state and, under a controller, the regulator's
+    d and q integrators.  ``e_k`` stacks sample k's exogenous inputs: the
+    droop-shifted d reference per bus under a controller (the fixed
+    terminal voltages [d..., q...] without one), then the loads [d, q
+    interleaved per bus].  Under a controller ``r xi_k`` plus
+    ``(1 + kp)`` times the reference on the d rows is the regulator output
+    [v_td...; v_tq...] before its clamp; without one ``r`` is None.
+    """
+
+    model: ContinuousLtiModel
+    disc: DiscreteLtiModel
+    a: np.ndarray
+    g: np.ndarray
+    r: np.ndarray | None
+
+
+def _closed_loop(cfg: SimConfig) -> _Loop:
+    """Plant plus PI regulator in the linear regime (clamp and anti-windup
+    ignored), from one exact discretization of the coupled plant."""
+    topo = cfg.topology
+    nb = topo.n_buses
+    model = build_coupled_plant(topo)
+    disc = discretize_exact(model, cfg.plant_step_s)
+    b_vtd = disc.b_d[:, 0 : 2 * nb : 2]
+    b_vtq = disc.b_d[:, 1 : 2 * nb : 2]
+    b_load = disc.b_d[:, 2 * nb :]
+    ctl = cfg.controller
+    if ctl is None:
+        return _Loop(model, disc, disc.a_d, np.hstack([b_vtd, b_vtq, b_load]), None)
+    n = model.n_states
+    sel_vd, sel_vq, sel_itd, sel_itq = (np.eye(n)[idx] for idx in _bus_index_arrays(nb))
+    # the bus output d-current lowers the reference through the droop
+    e_xd = -ctl.droop * _output_current_map(topo)[0::2] - sel_vd
+    e_xq = -sel_vq
+    vx_d = (1.0 + ctl.kp) * e_xd + sel_vd - ctl.virtual_resistance * sel_itd
+    vx_q = ctl.kp * e_xq - ctl.virtual_resistance * sel_itq
+    m = n + 2 * nb
+    a = np.zeros((m, m))
+    a[:n, :n] = disc.a_d + b_vtd @ vx_d + b_vtq @ vx_q
+    a[:n, n : n + nb] = ctl.ki * b_vtd
+    a[:n, n + nb :] = ctl.ki * b_vtq
+    a[n : n + nb, :n] = cfg.plant_step_s * e_xd
+    a[n : n + nb, n : n + nb] = np.eye(nb)
+    a[n + nb :, :n] = cfg.plant_step_s * e_xq
+    a[n + nb :, n + nb :] = np.eye(nb)
+    g = np.zeros((m, 3 * nb))
+    g[:n, :nb] = (1.0 + ctl.kp) * b_vtd
+    g[:n, nb:] = b_load
+    g[n : n + nb, :nb] = cfg.plant_step_s * np.eye(nb)
+    r = np.zeros((2 * nb, m))
+    r[:nb, :n] = vx_d
+    r[:nb, n : n + nb] = ctl.ki * np.eye(nb)
+    r[nb:, :n] = vx_q
+    r[nb:, n + nb :] = ctl.ki * np.eye(nb)
+    return _Loop(model, disc, a, g, r)
+
+
 def closed_loop_matrix(cfg: SimConfig) -> np.ndarray:
     """Discrete closed-loop matrix over [plant states, integrators d, q].
 
@@ -355,44 +434,195 @@ def closed_loop_matrix(cfg: SimConfig) -> np.ndarray:
     """
     if cfg.controller is None:
         raise ValueError("closed_loop_matrix requires a controller")
-    topo = cfg.topology
-    ctl = cfg.controller
-    nb, nl = topo.n_buses, topo.n_lines
-    model = build_coupled_plant(topo)
-    disc = discretize_exact(model, cfg.plant_step_s)
-    n = model.n_states
+    return _closed_loop(cfg).a
+
+
+def _add_process_noise(rng, out: np.ndarray, cfg: SimConfig) -> None:
+    """Add one process-noise draw per row of ``out`` (plant columns), in
+    the fixed order: DGU blocks bus by bus, then line blocks."""
+    steps = out.shape[0]
+    nb = cfg.topology.n_buses
+    f_dgu_q = _covariance_factor(cfg.noise.dgu.q)
+    f_line_q = _covariance_factor(cfg.noise.line.q)
+    blocks = [(4 * b, 4, f_dgu_q) for b in range(nb)]
+    blocks += [(4 * nb + 2 * j, 2, f_line_q) for j in range(cfg.topology.n_lines)]
+    for c0, width, factor in blocks:
+        draw = rng.standard_normal((steps, width))
+        if factor.any():
+            out[:, c0 : c0 + width] += draw @ factor.T
+
+
+def _diverged(t_k: float, guard: float) -> SimulationDivergedError:
+    return SimulationDivergedError(
+        f"simulation diverged at t={t_k:.6f}s: "
+        f"|state| exceeded 1e6 x nominal ({guard:.3e})"
+    )
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry of ``mask``, or its length."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else mask.shape[0]
+
+
+#: Closed-loop state values held at once while a record runs (2 MiB).
+_SEGMENT_VALUES = 2**18
+
+
+def _step_saturated(cfg, loop, k0, xi0, x_true, u_true, loads, guard, t) -> None:
+    """Step the record from sample ``k0``, whose closed-loop state is
+    ``xi0``, one sample at a time through the clamping regulator.  Row
+    k + 1 of ``x_true`` holds step k's process noise until it is
+    overwritten with the state."""
+    nb = cfg.topology.n_buses
+    n = loop.model.n_states
+    steps = x_true.shape[0] - 1
+    regulator = VoltageRegulator(cfg.controller, cfg.plant_step_s, nb)
+    regulator.integ_d = xi0[n : n + nb].copy()
+    regulator.integ_q = xi0[n + nb :].copy()
     idx_vd, idx_vq, idx_itd, idx_itq = _bus_index_arrays(nb)
-    sel_vd = np.zeros((nb, n))
-    sel_vd[np.arange(nb), idx_vd] = 1.0
-    sel_vq = np.zeros((nb, n))
-    sel_vq[np.arange(nb), idx_vq] = 1.0
-    sel_itd = np.zeros((nb, n))
-    sel_itd[np.arange(nb), idx_itd] = 1.0
-    sel_itq = np.zeros((nb, n))
-    sel_itq[np.arange(nb), idx_itq] = 1.0
-    d_iod = np.zeros((nb, n))  # state-dependent part of the bus output d-current
-    inc = _incidence(topo)
-    for j in range(nl):
-        d_iod[:, 4 * nb + 2 * j] = inc[:, j]
-    e_xd = -ctl.droop * d_iod - sel_vd
-    e_xq = -sel_vq
-    vx_d = (1.0 + ctl.kp) * e_xd + sel_vd - ctl.virtual_resistance * sel_itd
-    vx_q = ctl.kp * e_xq - ctl.virtual_resistance * sel_itq
-    b_vtd = disc.b_d[:, 0 : 2 * nb : 2]
-    b_vtq = disc.b_d[:, 1 : 2 * nb : 2]
-    a_cl = np.zeros((n + 2 * nb, n + 2 * nb))
-    a_cl[:n, :n] = disc.a_d + b_vtd @ vx_d + b_vtq @ vx_q
-    a_cl[:n, n : n + nb] = ctl.ki * b_vtd
-    a_cl[:n, n + nb :] = ctl.ki * b_vtq
-    a_cl[n : n + nb, :n] = cfg.plant_step_s * e_xd
-    a_cl[n : n + nb, n : n + nb] = np.eye(nb)
-    a_cl[n + nb :, :n] = cfg.plant_step_s * e_xq
-    a_cl[n + nb :, n + nb :] = np.eye(nb)
-    return a_cl
+    iod_map = _output_current_map(cfg.topology)[0::2]
+    a_d, b_d = loop.disc.a_d, loop.disc.b_d
+    u_plant = np.empty(4 * nb)
+    x = xi0[:n]
+    for k in range(k0, steps + 1):
+        vtd, vtq = regulator.step(
+            x[idx_vd], x[idx_vq], x[idx_itd], x[idx_itq], iod_map @ x + loads[k, 0::2]
+        )
+        u_true[k, 0::4] = vtd
+        u_true[k, 1::4] = vtq
+        if k == steps:
+            break
+        u_plant[0 : 2 * nb : 2] = vtd
+        u_plant[1 : 2 * nb : 2] = vtq
+        u_plant[2 * nb :] = loads[k]
+        x = a_d @ x + b_d @ u_plant + x_true[k + 1]
+        if not (np.abs(x) <= guard).all():
+            raise _diverged(t[k + 1], guard)
+        x_true[k + 1] = x
+
+
+def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The true plant states and DGU inputs of every sample, with the
+    process noise drawn from ``rng``.  Raises on an unstable closed loop
+    and on divergence.
+
+    The linear pass runs a whole number of ``_BLOCK``-sample blocks at a
+    time, as many as fit in ``_SEGMENT_VALUES``, so the state with its
+    integrators is never held for the whole record.  It stops at the
+    first sample whose regulator output reaches the clamp."""
+    topo = cfg.topology
+    nb = topo.n_buses
+    ctl = cfg.controller
+    n = loop.model.n_states
+    n_rec = t.shape[0]
+    steps = n_rec - 1
+
+    # exogenous inputs per sample; loads are piecewise constant
+    head = nb if ctl is not None else 2 * nb
+    exo = np.empty((n_rec, head + 2 * nb))
+    loads = exo[:, head:]
+    loads[:] = cfg.initial_loads.reshape(-1)
+    for ev in cfg.events.steps:
+        ke = int(np.searchsorted(t, ev.time_s - 1e-12))
+        loads[ke:, 2 * (ev.bus - 1)] += ev.delta_d
+        loads[ke:, 2 * (ev.bus - 1) + 1] += ev.delta_q
+    if ctl is not None:
+        rho = float(np.abs(np.linalg.eigvals(loop.a)).max())
+        if rho >= 1.0:
+            raise ValueError(
+                f"configured controller yields an unstable closed loop "
+                f"(spectral radius {rho:.6f})"
+            )
+        exo[:, :nb] = ctl.reference - ctl.droop * loads[:, 0::2]
+    else:
+        exo[:, :nb] = cfg.fixed_terminal_voltage[:, 0]
+        exo[:, nb : 2 * nb] = cfg.fixed_terminal_voltage[:, 1]
+
+    xi0 = np.zeros(loop.a.shape[0])
+    if cfg.start == "equilibrium" and ctl is not None:
+        x0, integ_d, integ_q, _ = regulated_equilibrium(topo, ctl, cfg.initial_loads)
+        xi0[:] = np.concatenate([x0, integ_d, integ_q])
+    elif cfg.start == "equilibrium":
+        u0 = np.concatenate([cfg.fixed_terminal_voltage.reshape(-1), loads[0]])
+        xi0[:] = np.linalg.solve(loop.model.a, -(loop.model.b @ u0))
+
+    # until the pass reaches it, row k + 1 holds step k's process noise
+    x_true = np.zeros((n_rec, n))
+    x_true[0] = xi0[:n]
+    _add_process_noise(rng, x_true[1:], cfg)
+    u_true = np.empty((n_rec, 4 * nb))
+    if ctl is not None:
+        nominal = max(1.0, float(ctl.reference.max()))
+        vmax = np.tile(ctl.v_max_scale * ctl.reference, 2)
+    else:
+        nominal = max(
+            1.0,
+            float(np.abs(xi0).max()),
+            float(np.abs(cfg.fixed_terminal_voltage).max()),
+            float(np.abs(loads).max()),
+        )
+        u_true[:, 0::4] = cfg.fixed_terminal_voltage[:, 0]
+        u_true[:, 1::4] = cfg.fixed_terminal_voltage[:, 1]
+    guard = 1e6 * nominal
+
+    def clamp_free(xi: np.ndarray, k: int) -> int:
+        """Write the regulator outputs of samples k.. from their states
+        ``xi``; returns how many of them stay inside the clamp."""
+        if ctl is None:
+            return xi.shape[0]
+        v_t = xi @ loop.r.T
+        v_t[:, :nb] += (1.0 + ctl.kp) * exo[k : k + xi.shape[0], :nb]
+        u_true[k : k + xi.shape[0], 0::4] = v_t[:, :nb]
+        u_true[k : k + xi.shape[0], 1::4] = v_t[:, nb:]
+        return _first((np.abs(v_t) > vmax).any(axis=1))
+
+    m = xi0.shape[0]
+    segment = max(1, _SEGMENT_VALUES // (m * _BLOCK)) * _BLOCK
+    # one power for every segment of a long record
+    a_block = np.linalg.matrix_power(loop.a, _BLOCK) if steps > segment else None
+    buf = np.empty((min(steps, segment) + 1, m))
+    buf[0] = xi0
+    saturated = None if clamp_free(buf[:1], 0) else 0
+    a = 0
+    while saturated is None and a < steps:
+        rows = min(segment, steps - a)
+        xi = buf[: rows + 1]
+        np.matmul(exo[a : a + rows], loop.g.T, out=xi[1:])
+        xi[1:, :n] += x_true[a + 1 : a + 1 + rows]
+        _linear_recursion(loop.a, xi[0], xi[1:], a_block)
+        x = xi[1:, :n]
+        # NaN-safe: a state that is not finite trips the guard as well
+        tripped = _first(~((x.max(axis=1) <= guard) & (x.min(axis=1) >= -guard)))
+        free = clamp_free(xi[1:], a + 1)
+        if tripped <= free and tripped < rows:
+            raise _diverged(t[a + 1 + tripped], guard)
+        valid = min(free + 1, rows)
+        x_true[a + 1 : a + 1 + valid] = x[:valid]
+        if free < rows:
+            saturated = a + 1 + free
+            buf[0] = xi[1 + free]
+        else:
+            buf[0] = xi[-1]
+        a += rows
+    if saturated is not None:
+        _step_saturated(cfg, loop, saturated, buf[0], x_true, u_true, loads, guard, t)
+
+    io = x_true @ _output_current_map(topo).T + loads
+    u_true[:, 2::4] = io[:, 0::2]
+    u_true[:, 3::4] = io[:, 1::2]
+    return x_true, u_true
 
 
 def run_plant(cfg: SimConfig) -> Trace:
     """Simulate the configured scenario; deterministic given the seed.
+
+    The plant, with its regulator in the linear regime, runs as one linear
+    recursion over the whole record.  From the first sample where the
+    regulator output reaches its clamp, the rest of the record is stepped
+    sample by sample through ``VoltageRegulator.step``.  A state beyond
+    1e6 x nominal (or not finite) raises ``SimulationDivergedError`` naming
+    its time.
 
     Noise streams are drawn in a fixed order (process, state measurement,
     input measurement) so that configs differing only in noise magnitudes
@@ -400,114 +630,17 @@ def run_plant(cfg: SimConfig) -> Trace:
     """
     topo = cfg.topology
     nb, nl = topo.n_buses, topo.n_lines
-    model = build_coupled_plant(topo)
-    disc = discretize_exact(model, cfg.plant_step_s)
-    n = model.n_states
+    loop = _closed_loop(cfg)
     dt = cfg.plant_step_s
-    steps = int(round(cfg.duration_s / dt))
-    n_rec = steps + 1
+    n_rec = int(round(cfg.duration_s / dt)) + 1
     t = np.round(np.arange(n_rec) * dt, 9)
     rng = np.random.default_rng(cfg.seed)
-
-    # piecewise-constant load inputs, [d, q] interleaved per bus
-    loads = np.tile(cfg.initial_loads.reshape(-1), (n_rec, 1))
-    for ev in cfg.events.steps:
-        ke = int(np.searchsorted(t, ev.time_s - 1e-12))
-        loads[ke:, 2 * (ev.bus - 1)] += ev.delta_d
-        loads[ke:, 2 * (ev.bus - 1) + 1] += ev.delta_q
-
-    regulator = None
-    if cfg.controller is not None:
-        regulator = VoltageRegulator(cfg.controller, dt, nb)
-        rho = float(np.abs(np.linalg.eigvals(closed_loop_matrix(cfg))).max())
-        if rho >= 1.0:
-            raise ValueError(
-                f"configured controller yields an unstable closed loop "
-                f"(spectral radius {rho:.6f})"
-            )
-        vt_fix_d = vt_fix_q = None
-    else:
-        vt_fix_d = cfg.fixed_terminal_voltage[:, 0].copy()
-        vt_fix_q = cfg.fixed_terminal_voltage[:, 1].copy()
-
-    if cfg.start == "zero":
-        x0 = np.zeros(n)
-    elif regulator is not None:
-        x0, integ_d, integ_q, _ = regulated_equilibrium(
-            topo, cfg.controller, cfg.initial_loads
-        )
-        regulator.integ_d[:] = integ_d
-        regulator.integ_q[:] = integ_q
-    else:
-        u0 = np.concatenate([cfg.fixed_terminal_voltage.reshape(-1), loads[0]])
-        x0 = np.linalg.solve(model.a, -(model.b @ u0))
+    x_true, u_true = _truth(cfg, loop, t, rng)
 
     noise = cfg.noise
-    f_dgu_q = _covariance_factor(noise.dgu.q)
-    f_line_q = _covariance_factor(noise.line.q)
     f_dgu_r = _covariance_factor(noise.dgu.r)
     f_line_r = _covariance_factor(noise.line.r)
     f_dgu_m = _covariance_factor(noise.dgu.m)
-
-    w = np.zeros((steps, n))
-    for b in range(nb):
-        w[:, 4 * b : 4 * b + 4] = rng.standard_normal((steps, 4)) @ f_dgu_q.T
-    for j in range(nl):
-        c0 = 4 * nb + 2 * j
-        w[:, c0 : c0 + 2] = rng.standard_normal((steps, 2)) @ f_line_q.T
-    have_w = bool(w.any())
-
-    if regulator is not None:
-        nominal = max(1.0, float(cfg.controller.reference.max()))
-    else:
-        nominal = max(
-            1.0,
-            float(np.abs(x0).max()),
-            float(np.abs(cfg.fixed_terminal_voltage).max()),
-            float(np.abs(loads).max()),
-        )
-    guard = 1e6 * nominal
-
-    io_map = _output_current_map(topo)
-    idx_vd, idx_vq, idx_itd, idx_itq = _bus_index_arrays(nb)
-    a_d = disc.a_d
-    b_d = disc.b_d
-    x_true = np.empty((n_rec, n))
-    u_true = np.empty((n_rec, 4 * nb))
-    u_plant = np.empty(4 * nb)
-    x = x0.copy()
-    x_true[0] = x
-
-    def dgu_inputs(k, xi):
-        io = io_map @ xi + loads[k]
-        if regulator is not None:
-            vtd, vtq = regulator.step(
-                xi[idx_vd], xi[idx_vq], xi[idx_itd], xi[idx_itq], io[0::2]
-            )
-        else:
-            vtd, vtq = vt_fix_d, vt_fix_q
-        u_true[k, 0::4] = vtd
-        u_true[k, 1::4] = vtq
-        u_true[k, 2::4] = io[0::2]
-        u_true[k, 3::4] = io[1::2]
-        return vtd, vtq
-
-    for k in range(steps):
-        vtd, vtq = dgu_inputs(k, x)
-        u_plant[0 : 2 * nb : 2] = vtd
-        u_plant[1 : 2 * nb : 2] = vtq
-        u_plant[2 * nb :] = loads[k]
-        x = a_d @ x + b_d @ u_plant
-        if have_w:
-            x = x + w[k]
-        if np.abs(x).max() > guard:
-            raise SimulationDivergedError(
-                f"simulation diverged at t={t[k + 1]:.6f}s: "
-                f"|state| exceeded 1e6 x nominal ({guard:.3e})"
-            )
-        x_true[k + 1] = x
-    dgu_inputs(steps, x)
-
     z_state = x_true.copy()
     for b in range(nb):
         z_state[:, 4 * b : 4 * b + 4] += rng.standard_normal((n_rec, 4)) @ f_dgu_r.T
@@ -526,6 +659,6 @@ def run_plant(cfg: SimConfig) -> Trace:
         z_state=z_state,
         u_true=u_true,
         u_meas=u_meas,
-        state_labels=model.state_labels,
+        state_labels=loop.model.state_labels,
         input_labels=input_labels,
     )

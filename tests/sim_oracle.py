@@ -1,0 +1,159 @@
+"""Per-sample reference simulator: ``run_plant`` as one Python loop.
+
+Each sample evaluates the plant matvec, ``VoltageRegulator.step``, the
+output-current map and the divergence guard in turn.  It is the oracle
+for the closed-loop linear pass in ``microdse.sim.run_plant``; the two
+must agree to rounding, draw the same noise in the same order and stop
+at the same sample.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from microdse.discretize import discretize_exact
+from microdse.models import build_coupled_plant, dgu_input_labels
+from microdse.sim import (
+    SimConfig,
+    SimulationDivergedError,
+    Trace,
+    VoltageRegulator,
+    _bus_index_arrays,
+    _covariance_factor,
+    _output_current_map,
+    closed_loop_matrix,
+    regulated_equilibrium,
+)
+
+
+def run_plant_loop(cfg: SimConfig) -> Trace:
+    topo = cfg.topology
+    nb, nl = topo.n_buses, topo.n_lines
+    model = build_coupled_plant(topo)
+    disc = discretize_exact(model, cfg.plant_step_s)
+    n = model.n_states
+    dt = cfg.plant_step_s
+    steps = int(round(cfg.duration_s / dt))
+    n_rec = steps + 1
+    t = np.round(np.arange(n_rec) * dt, 9)
+    rng = np.random.default_rng(cfg.seed)
+
+    loads = np.tile(cfg.initial_loads.reshape(-1), (n_rec, 1))
+    for ev in cfg.events.steps:
+        ke = int(np.searchsorted(t, ev.time_s - 1e-12))
+        loads[ke:, 2 * (ev.bus - 1)] += ev.delta_d
+        loads[ke:, 2 * (ev.bus - 1) + 1] += ev.delta_q
+
+    regulator = None
+    if cfg.controller is not None:
+        regulator = VoltageRegulator(cfg.controller, dt, nb)
+        rho = float(np.abs(np.linalg.eigvals(closed_loop_matrix(cfg))).max())
+        if rho >= 1.0:
+            raise ValueError(
+                f"configured controller yields an unstable closed loop "
+                f"(spectral radius {rho:.6f})"
+            )
+        vt_fix_d = vt_fix_q = None
+    else:
+        vt_fix_d = cfg.fixed_terminal_voltage[:, 0].copy()
+        vt_fix_q = cfg.fixed_terminal_voltage[:, 1].copy()
+
+    if cfg.start == "zero":
+        x0 = np.zeros(n)
+    elif regulator is not None:
+        x0, integ_d, integ_q, _ = regulated_equilibrium(
+            topo, cfg.controller, cfg.initial_loads
+        )
+        regulator.integ_d[:] = integ_d
+        regulator.integ_q[:] = integ_q
+    else:
+        u0 = np.concatenate([cfg.fixed_terminal_voltage.reshape(-1), loads[0]])
+        x0 = np.linalg.solve(model.a, -(model.b @ u0))
+
+    noise = cfg.noise
+    f_dgu_q = _covariance_factor(noise.dgu.q)
+    f_line_q = _covariance_factor(noise.line.q)
+    f_dgu_r = _covariance_factor(noise.dgu.r)
+    f_line_r = _covariance_factor(noise.line.r)
+    f_dgu_m = _covariance_factor(noise.dgu.m)
+
+    w = np.zeros((steps, n))
+    for b in range(nb):
+        w[:, 4 * b : 4 * b + 4] = rng.standard_normal((steps, 4)) @ f_dgu_q.T
+    for j in range(nl):
+        c0 = 4 * nb + 2 * j
+        w[:, c0 : c0 + 2] = rng.standard_normal((steps, 2)) @ f_line_q.T
+    have_w = bool(w.any())
+
+    if regulator is not None:
+        nominal = max(1.0, float(cfg.controller.reference.max()))
+    else:
+        nominal = max(
+            1.0,
+            float(np.abs(x0).max()),
+            float(np.abs(cfg.fixed_terminal_voltage).max()),
+            float(np.abs(loads).max()),
+        )
+    guard = 1e6 * nominal
+
+    io_map = _output_current_map(topo)
+    idx_vd, idx_vq, idx_itd, idx_itq = _bus_index_arrays(nb)
+    a_d = disc.a_d
+    b_d = disc.b_d
+    x_true = np.empty((n_rec, n))
+    u_true = np.empty((n_rec, 4 * nb))
+    u_plant = np.empty(4 * nb)
+    x = x0.copy()
+    x_true[0] = x
+
+    def dgu_inputs(k, xi):
+        io = io_map @ xi + loads[k]
+        if regulator is not None:
+            vtd, vtq = regulator.step(
+                xi[idx_vd], xi[idx_vq], xi[idx_itd], xi[idx_itq], io[0::2]
+            )
+        else:
+            vtd, vtq = vt_fix_d, vt_fix_q
+        u_true[k, 0::4] = vtd
+        u_true[k, 1::4] = vtq
+        u_true[k, 2::4] = io[0::2]
+        u_true[k, 3::4] = io[1::2]
+        return vtd, vtq
+
+    for k in range(steps):
+        vtd, vtq = dgu_inputs(k, x)
+        u_plant[0 : 2 * nb : 2] = vtd
+        u_plant[1 : 2 * nb : 2] = vtq
+        u_plant[2 * nb :] = loads[k]
+        x = a_d @ x + b_d @ u_plant
+        if have_w:
+            x = x + w[k]
+        if np.abs(x).max() > guard:
+            raise SimulationDivergedError(
+                f"simulation diverged at t={t[k + 1]:.6f}s: "
+                f"|state| exceeded 1e6 x nominal ({guard:.3e})"
+            )
+        x_true[k + 1] = x
+    dgu_inputs(steps, x)
+
+    z_state = x_true.copy()
+    for b in range(nb):
+        z_state[:, 4 * b : 4 * b + 4] += rng.standard_normal((n_rec, 4)) @ f_dgu_r.T
+    for j in range(nl):
+        c0 = 4 * nb + 2 * j
+        z_state[:, c0 : c0 + 2] += rng.standard_normal((n_rec, 2)) @ f_line_r.T
+    u_meas = u_true.copy()
+    for b in range(nb):
+        u_meas[:, 4 * b : 4 * b + 4] += rng.standard_normal((n_rec, 4)) @ f_dgu_m.T
+
+    input_labels = tuple(lab for b in range(1, nb + 1) for lab in dgu_input_labels(b))
+    return Trace(
+        t=t,
+        t_step_s=dt,
+        x_true=x_true,
+        z_state=z_state,
+        u_true=u_true,
+        u_meas=u_meas,
+        state_labels=model.state_labels,
+        input_labels=input_labels,
+    )

@@ -54,7 +54,8 @@ def test_criterion_1_scenario_reproduction(scenario_run):
     _report(
         1,
         "scenario reproduction, estimate RMSE < 0.5x measurement, "
-        f"simulate + estimate {scenario_run['elapsed_s']:.1f} s",
+        f"simulate {scenario_run['simulate_s']:.2f} s + "
+        f"estimate {scenario_run['estimate_s']:.2f} s",
         ok,
     )
     assert not failures, failures

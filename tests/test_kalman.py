@@ -396,7 +396,7 @@ def test_split_filter_matches_oracle_on_both_sides_of_convergence(seed, radius):
     assert after.converged and after.gains.shape[0] == converged_at
 
 
-@pytest.mark.parametrize("steps", [1, 63, 64, 65, 1000])
+@pytest.mark.parametrize("steps", [0, 1, 63, 64, 65, 128, 129, 1000])
 def test_blocked_linear_recursion_matches_loop(steps):
     rng = np.random.default_rng(steps)
     theta = 0.01

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sim_oracle import run_plant_loop
 
 import microdse as m
 from microdse import (
@@ -21,6 +24,8 @@ from microdse import (
     regulated_equilibrium,
     run_plant,
 )
+from microdse.models import DguParams, LineParams, MicrogridTopology
+from microdse.sim import _bus_index_arrays, _closed_loop, _output_current_map
 
 LOADS = np.array([[150.0, 30.0], [220.0, 40.0], [180.0, 35.0]])
 
@@ -149,8 +154,6 @@ def test_regulator_settles_after_reference_step(reference_topology):
     reg = VoltageRegulator(gains1, dt, 3)
     reg.integ_d[:] = integ_d
     reg.integ_q[:] = integ_q
-    from microdse.sim import _bus_index_arrays, _output_current_map
-
     io_map = _output_current_map(reference_topology)
     ivd, ivq, iitd, iitq = _bus_index_arrays(3)
     lvec = LOADS.reshape(-1)
@@ -254,7 +257,29 @@ def test_divergence_guard_aborts(reference_topology):
         reference_topology, duration=0.5, start="zero",
         vt=np.zeros((3, 2)), loads=np.zeros((3, 2)), noise=noise,
     )
-    with pytest.raises(SimulationDivergedError):
+    with pytest.raises(SimulationDivergedError) as new:
+        run_plant(cfg)
+    with pytest.raises(SimulationDivergedError) as old:
+        run_plant_loop(cfg)
+    assert str(new.value) == str(old.value)
+    assert "t=0.000" in str(new.value)
+
+
+@pytest.mark.parametrize("segment_values", [None, 1])
+@pytest.mark.parametrize("regulated", [True, False])
+def test_non_finite_state_trips_the_guard(
+    reference_scenario, reference_topology, monkeypatch, regulated, segment_values
+):
+    # a NaN load from t = 0.01 s makes the state NaN one step later, in
+    # the second segment when a segment holds one block
+    if segment_values is not None:
+        monkeypatch.setattr(m.sim, "_SEGMENT_VALUES", segment_values)
+    events = EventSchedule((LoadStep(0.01, 2, float("nan"), 0.0),))
+    if regulated:
+        cfg = dataclasses.replace(reference_scenario.sim, duration_s=0.05, events=events)
+    else:
+        cfg = open_loop_config(reference_topology, duration=0.05, events=events)
+    with pytest.raises(SimulationDivergedError, match=r"t=0\.010100s"):
         run_plant(cfg)
 
 
@@ -282,3 +307,163 @@ def test_trace_record_view(reference_scenario):
     np.testing.assert_array_equal(rec.true_state, trace.x_true[5])
     np.testing.assert_array_equal(rec.noisy_measurement, trace.z_state[5])
     np.testing.assert_array_equal(rec.inputs, trace.u_meas[5])
+
+
+TRACE_FIELDS = ("x_true", "z_state", "u_true", "u_meas")
+PROCESS_NOISE = SimNoise(
+    dgu=NoiseSpec.from_std([5.0, 5.0, 2.0, 2.0], [30.0, 30.0, 20.0, 20.0], [2.0, 2.0, 1.0, 1.0]),
+    line=NoiseSpec.from_std([1.0, 1.0], [25.0, 25.0], [0.0, 0.0]),
+)
+
+
+def assert_matches_loop_oracle(cfg, rtol=1e-9):
+    new = run_plant(cfg)
+    old = run_plant_loop(cfg)
+    np.testing.assert_array_equal(new.t, old.t)
+    for name in TRACE_FIELDS:
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= rtol * max(1.0, np.abs(b).max()), name
+    return new
+
+
+def clamped_samples(cfg, trace):
+    vmax = cfg.controller.v_max_scale * cfg.controller.reference
+    vt = np.column_stack([trace.u_true[:, 0::4], trace.u_true[:, 1::4]])
+    return np.flatnonzero((np.abs(vt) >= np.tile(vmax, 2) * (1.0 - 1e-12)).any(axis=1))
+
+
+def test_linear_pass_matches_loop_on_reference_scenario(reference_scenario):
+    assert reference_scenario.sim.events.steps
+    assert_matches_loop_oracle(reference_scenario.sim)
+
+
+@pytest.mark.parametrize("segment_values", [None, 1])
+def test_linear_pass_matches_loop_open_loop(reference_topology, monkeypatch, segment_values):
+    if segment_values is not None:
+        monkeypatch.setattr(m.sim, "_SEGMENT_VALUES", segment_values)
+    cfg = open_loop_config(
+        reference_topology,
+        duration=0.3,
+        noise=PROCESS_NOISE,
+        seed=7,
+        events=EventSchedule((LoadStep(0.1, 2, 80.0, -10.0),)),
+    )
+    assert_matches_loop_oracle(cfg)
+
+
+def test_linear_pass_matches_loop_when_clamp_engages_at_start(reference_scenario):
+    sim = reference_scenario.sim
+    cfg = dataclasses.replace(
+        sim,
+        duration_s=0.2,
+        start="zero",
+        events=EventSchedule(),
+        controller=dataclasses.replace(sim.controller, v_max_scale=1.02),
+    )
+    trace = assert_matches_loop_oracle(cfg)
+    assert clamped_samples(cfg, trace).size == 7
+
+
+@pytest.mark.parametrize("segment_values", [None, 1])
+def test_linear_pass_matches_loop_when_clamp_engages_mid_record(
+    reference_scenario, monkeypatch, segment_values
+):
+    # removing 1000 A of bus-1 load raises its droop-shifted reference
+    # into the clamp after 500 linear samples; one block per segment puts
+    # that sample inside the eighth segment
+    if segment_values is not None:
+        monkeypatch.setattr(m.sim, "_SEGMENT_VALUES", segment_values)
+    sim = reference_scenario.sim
+    cfg = dataclasses.replace(
+        sim,
+        duration_s=0.1,
+        noise=PROCESS_NOISE,
+        events=EventSchedule((LoadStep(0.05, 1, -1000.0, 0.0),)),
+        controller=dataclasses.replace(sim.controller, v_max_scale=1.02),
+    )
+    trace = assert_matches_loop_oracle(cfg)
+    assert clamped_samples(cfg, trace)[0] == 500
+
+
+@st.composite
+def random_grids(draw):
+    """Connected 2-6-bus grids: a random spanning tree plus optional chords."""
+    nb = draw(st.integers(2, 6))
+    pairs = {(draw(st.integers(1, b - 1)), b) for b in range(2, nb + 1)}
+    others = [(a, b) for a in range(1, nb + 1) for b in range(a + 1, nb + 1)]
+    pairs |= set(draw(st.lists(st.sampled_from(others), max_size=3)))
+    uniform = lambda lo, hi: draw(st.floats(lo, hi))  # noqa: E731
+    topology = MicrogridTopology(
+        n_buses=nb,
+        dgus=tuple(
+            DguParams(uniform(0.9e-3, 1.3e-3), uniform(90e-6, 110e-6), uniform(50e-6, 60e-6))
+            for _ in range(nb)
+        ),
+        lines=tuple(
+            LineParams(a, b, uniform(0.9, 1.3), uniform(0.44e-3, 0.67e-3))
+            for a, b in sorted(pairs)
+        ),
+        omega=2.0 * math.pi * 60.0,
+    )
+    loads = np.array([[uniform(150.0, 220.0), uniform(30.0, 40.0)] for _ in range(nb)])
+    return topology, loads
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    grid=random_grids(),
+    seed=st.integers(0, 2**31 - 1),
+    start=st.sampled_from(["equilibrium", "zero"]),
+    steps=st.integers(1, 400),
+)
+def test_linear_pass_matches_loop_on_random_grids(reference_scenario, grid, seed, start, steps):
+    topology, loads = grid
+    nb = topology.n_buses
+    controller = dataclasses.replace(
+        reference_scenario.sim.controller, droop=0.1, reference=np.full(nb, 11267.652)
+    )
+    cfg = SimConfig(
+        topology=topology,
+        duration_s=steps * 1e-4,
+        plant_step_s=1e-4,
+        seed=seed,
+        initial_loads=loads,
+        events=EventSchedule((LoadStep(0.5 * steps * 1e-4, nb, 50.0, 10.0),)),
+        noise=PROCESS_NOISE,
+        controller=controller,
+        start=start,
+    )
+    assume(np.abs(np.linalg.eigvals(closed_loop_matrix(cfg))).max() < 1.0)
+    assert_matches_loop_oracle(cfg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_closed_loop_builder_is_the_regulator_law(reference_scenario, seed):
+    # in the linear regime one builder row block is one VoltageRegulator.step
+    sim = reference_scenario.sim
+    ctl = sim.controller
+    nb, n = 3, 18
+    rng = np.random.default_rng(seed)
+    x_eq, integ_d, integ_q, _ = regulated_equilibrium(sim.topology, ctl, sim.initial_loads)
+    x = x_eq + rng.normal(scale=np.where(x_eq != 0.0, 0.01 * np.abs(x_eq), 1.0))
+    integ = np.concatenate([integ_d, integ_q]) + rng.normal(scale=0.01, size=2 * nb)
+    loads = sim.initial_loads.reshape(-1) + rng.normal(scale=20.0, size=2 * nb)
+    loop = _closed_loop(sim)
+    xi = np.concatenate([x, integ])
+    ref = ctl.reference - ctl.droop * loads[0::2]
+    raw = loop.r @ xi
+    raw[:nb] += (1.0 + ctl.kp) * ref
+    integ_next = loop.a[n:] @ xi + loop.g[n:] @ np.concatenate([ref, loads])
+
+    reg = VoltageRegulator(ctl, sim.plant_step_s, nb)
+    reg.integ_d, reg.integ_q = integ[:nb].copy(), integ[nb:].copy()
+    ivd, ivq, iitd, iitq = _bus_index_arrays(nb)
+    io = _output_current_map(sim.topology) @ x + loads
+    v_td, v_tq = reg.step(x[ivd], x[ivq], x[iitd], x[iitq], io[0::2])
+    assert (np.abs(raw) < np.tile(ctl.v_max_scale * ctl.reference, 2)).all()
+    np.testing.assert_allclose(raw, np.concatenate([v_td, v_tq]), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(
+        integ_next, np.concatenate([reg.integ_d, reg.integ_q]), rtol=1e-10, atol=1e-12
+    )
