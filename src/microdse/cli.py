@@ -68,14 +68,7 @@ def _load_raw(args) -> dict:
     if args.config is None:
         raw = cfgmod.bundled_config_dict()
     else:
-        try:
-            raw = json.loads(args.config.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read configuration {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{args.config}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}"
-            ) from exc
+        raw = cfgmod.read_json_object(args.config, "configuration")
     return cfgmod.apply_overrides(raw, _overrides(args))
 
 
@@ -98,9 +91,9 @@ def _trace_columns(trace: Trace, measured: bool) -> dict[str, np.ndarray]:
 
 def cmd_simulate(args) -> int:
     raw = _load_raw(args)
-    if raw.get("simulation", {}).get("duration_s") == 0:
+    cfgmod._schema_check(raw)
+    if raw["simulation"]["duration_s"] == 0:
         # degenerate run: emit the channel schema without any samples
-        cfgmod._schema_check(raw)
         topology = cfgmod._topology(raw)
         model = build_coupled_plant(topology)
         labels = list(model.state_labels) + [
@@ -183,14 +176,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        metrics = json.loads(args.metrics.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read metrics {args.metrics}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{args.metrics}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}"
-        ) from exc
+    metrics = cfgmod.read_json_object(args.metrics, "metrics")
     channels = metrics.get("channels", {})
     if not channels:
         print("no data")

@@ -41,6 +41,25 @@ def bundled_config_dict() -> dict:
     return json.loads(_data_text("three_bus.json"))
 
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Parse a JSON file whose top level must be an object; ``what`` names
+    the file in the ``ConfigError`` raised for anything else."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}"
+        ) from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: the {what} must be a JSON object")
+    return raw
+
+
 @dataclass(frozen=True)
 class MetricsSettings:
     windows_s: tuple[tuple[float, float], ...] | None = None
@@ -88,22 +107,32 @@ class ScenarioConfig:
 
 
 def apply_overrides(raw: dict, overrides: dict) -> dict:
-    """Apply CLI overrides onto a parsed scenario dict (overrides win)."""
+    """Apply CLI overrides onto a parsed scenario dict (overrides win).
+
+    An override whose section holds something other than an object is
+    dropped; the schema check then reports that section.
+    """
     out = json.loads(json.dumps(raw))  # deep copy, JSON-typed
-    if overrides.get("seed") is not None:
-        out.setdefault("simulation", {})["seed"] = overrides["seed"]
-    if overrides.get("duration_s") is not None:
-        out.setdefault("simulation", {})["duration_s"] = overrides["duration_s"]
-    if overrides.get("discretization") is not None:
-        out.setdefault("estimation", {})["discretization"] = overrides["discretization"]
+
+    def override(section: str, key: str, value) -> None:
+        if value is not None and isinstance(out.setdefault(section, {}), dict):
+            out[section][key] = value
+
+    override("simulation", "seed", overrides.get("seed"))
+    override("simulation", "duration_s", overrides.get("duration_s"))
+    override("estimation", "discretization", overrides.get("discretization"))
     if overrides.get("event_time_s") is not None:
-        events = out.get("simulation", {}).get("loads", {}).get("events", [])
-        if len(events) != 1:
-            raise ConfigError(
-                "--event-time needs exactly one scheduled event, "
-                f"the configuration has {len(events)}"
-            )
-        events[0]["time_s"] = overrides["event_time_s"]
+        sim = out.get("simulation", {})
+        loads = sim.get("loads", {}) if isinstance(sim, dict) else None
+        events = loads.get("events", []) if isinstance(loads, dict) else None
+        if isinstance(events, list):
+            if len(events) != 1:
+                raise ConfigError(
+                    "--event-time needs exactly one scheduled event, "
+                    f"the configuration has {len(events)}"
+                )
+            if isinstance(events[0], dict):
+                events[0]["time_s"] = overrides["event_time_s"]
     return out
 
 
@@ -257,17 +286,7 @@ def load_scenario_dict(raw: dict) -> ScenarioConfig:
 
 def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:
     """Load, override, validate and assemble a scenario file."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read configuration {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}:{exc.lineno}:{exc.colno}: malformed JSON: {exc.msg}"
-        ) from exc
+    raw = read_json_object(path, "configuration")
     if overrides:
         raw = apply_overrides(raw, overrides)
     return load_scenario_dict(raw)

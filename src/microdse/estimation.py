@@ -7,6 +7,10 @@ line currents as states and the differences of the locally estimated bus
 voltages as its (noisy) inputs; the input-noise covariance fed to its
 effective process noise is propagated from the local filters'
 steady-state posterior voltage blocks.
+
+Both layers share one filter model (H = I, constant Q_eff and R), so both
+run a record the same way, through ``kalman.filter_record``: a data-free
+gain schedule, then a state pass with the converged gain.
 """
 
 from __future__ import annotations
@@ -180,47 +184,31 @@ def _check_rate(trace_step: float, rate_hz: float, what: str) -> None:
         )
 
 
-def _filter_failure(what: str, t, k: int, exc: Exception) -> RuntimeError:
-    return RuntimeError(f"{what}: filter failure at sample {k} (t={t[k]:.6f}s): {exc}")
-
-
-def _run_filter(kf: KalmanEstimator, t, z, u, labels, t_step, what: str) -> EstimateTrace:
-    """Step-by-step recursion: sample 0 initializes from the measurement, then
-    each sample k predicts with the input recorded at k-1 (the value held
-    over the preceding interval) and updates with the measurement at k."""
-    n = t.shape[0]
-    dim = kf.n_states
-    x_hat = np.empty((n, dim))
-    nis = np.full(n, np.nan)
-    kf.x_hat = z[0].copy()
-    x_hat[0] = kf.x_hat
-    for k in range(1, n):
-        try:
-            kf.step(u[k - 1], z[k])
-        except np.linalg.LinAlgError as exc:
-            raise _filter_failure(what, t, k, exc) from exc
-        x_hat[k] = kf.x_hat
-        nis[k] = kf.nis
-    return EstimateTrace(
-        t=t.copy(), t_step_s=t_step, x_hat=x_hat, labels=labels, nis=nis
-    )
+def _estimate(kf: KalmanEstimator, t, z, u, labels, t_step, what: str) -> EstimateTrace:
+    """Run ``kf`` over a record through ``kalman.filter_record``: sample 0
+    initializes from the measurement, then each sample k predicts with the
+    input recorded at k-1 (the value held over the preceding interval) and
+    updates with the measurement at k."""
+    try:
+        x_hat, nis = filter_record(kf, z, u)
+    except CovarianceError as exc:
+        k = exc.step
+        raise RuntimeError(
+            f"{what}: filter failure at sample {k} (t={t[k]:.6f}s): {exc}"
+        ) from exc
+    return EstimateTrace(t=t.copy(), t_step_s=t_step, x_hat=x_hat, labels=labels, nis=nis)
 
 
 def run_local(est: LocalEstimator, trace: Trace) -> EstimateTrace:
     """Run one local estimator over the measured state/input channels of its
-    bus: the same recursion as ``_run_filter``, split into a data-free gain
-    schedule and a state pass (``kalman.filter_record``)."""
+    bus."""
     _check_rate(trace.t_step_s, est.rate_hz, f"local estimator (bus {est.bus})")
     cols = est.state_columns
     z = trace.z_state[:, cols]
     u = trace.u_meas[:, est.input_columns]
     labels = tuple(trace.state_labels[c] for c in cols)
-    try:
-        x_hat, nis = filter_record(est.kf, z, u)
-    except CovarianceError as exc:
-        raise _filter_failure(f"local estimator bus {est.bus}", trace.t, exc.step, exc) from exc
-    return EstimateTrace(
-        t=trace.t.copy(), t_step_s=trace.t_step_s, x_hat=x_hat, labels=labels, nis=nis
+    return _estimate(
+        est.kf, trace.t, z, u, labels, trace.t_step_s, f"local estimator bus {est.bus}"
     )
 
 
@@ -242,7 +230,8 @@ def run_global(
     assembled from per-line differences of the estimated bus voltages.
 
     All traces must be time-aligned at the global rate; no interpolation
-    is performed.
+    is performed.  The filter runs like a local one, as a gain schedule
+    plus a state pass.
     """
     topo = est.topology
     nb, nl = topo.n_buses, topo.n_lines
@@ -265,7 +254,7 @@ def run_global(
     line_cols = 4 * nb + np.arange(2 * nl)
     z = line_current_trace.z_state[:, line_cols]
     labels = tuple(line_current_trace.state_labels[c] for c in line_cols)
-    return _run_filter(
+    return _estimate(
         est.kf, trace_t, z, u, labels, line_current_trace.t_step_s, "global estimator"
     )
 

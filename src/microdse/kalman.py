@@ -14,7 +14,9 @@ then applies those gains, with the last one held as the steady-state
 gain (Anderson & Moore, *Optimal Filtering*, 1979, ch. 4).
 ``steady_state_covariance`` takes the limit directly from the discrete
 algebraic Riccati equation (DARE; Arnold & Laub, Proc. IEEE 1984).
-``KalmanEstimator`` keeps the per-step form of the same recursion.
+``KalmanEstimator`` is the per-step API of the same recursion and the
+tests' reference for ``filter_record``; the estimators run whole records
+through ``filter_record`` only.
 """
 
 from __future__ import annotations

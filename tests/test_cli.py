@@ -294,3 +294,29 @@ def test_missing_config_file(tmp_path, capsys):
 
 def test_usage_error_exits_with_validation_code(capsys):
     assert run_cli("estimate") == 1  # missing required --truth/--measurements
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        ("[]", ["simulate", "--config", "{path}"]),
+        ("[]", ["estimate", "--config", "{path}", "--seed", 3,
+                "--truth", "truth.csv", "--measurements", "measurements.csv"]),
+        ("[]", ["report", "--metrics", "{path}"]),
+        ('{"simulation": 5}', ["simulate", "--config", "{path}"]),
+        ('{"simulation": 5}', ["simulate", "--config", "{path}", "--seed", 3,
+                               "--event-time", 0.1]),
+    ],
+    ids=["simulate", "estimate-seed", "report", "simulate-section", "simulate-section-overrides"],
+)
+def test_json_that_is_not_the_expected_object_exits_with_validation_code(
+    tmp_path, capsys, content, argv
+):
+    path = tmp_path / "odd.json"
+    path.write_text(content)
+    args = [path if a == "{path}" else a for a in argv]
+    if argv[0] != "report":
+        args += ["--out", tmp_path / "o"]
+    assert run_cli(*args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

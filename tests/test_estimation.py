@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from filter_oracle import assert_close, step_oracle
 
 import microdse as m
 from microdse import (
@@ -25,6 +26,7 @@ from microdse import (
     tracking_recovery_time,
 )
 from microdse.estimation import EstimateTrace
+from microdse.kalman import filter_record, gain_schedule
 from microdse.models import DguParams, LineParams, MicrogridTopology
 
 LOCAL_SPEC = NoiseSpec.from_std(
@@ -141,17 +143,104 @@ def test_single_line_global_equals_standalone_line_filter():
     )
     out = run_global(gest, volt_traces, line_trace)
 
-    # standalone two-state filter fed the same data
+    # standalone two-state filter fed the same data: the same arithmetic
+    # gives the same bits, and the per-step recursion agrees to rounding
     disc = discretize_exact(build_line_model(topo.lines[0], omega), 1.0 / rate)
     q_eff = disc.b_d @ m_in @ disc.b_d.T + q2
-    kf = KalmanEstimator(disc, q_eff=0.5 * (q_eff + q_eff.T), r=r2)
-    kf.x_hat = z_line[0].copy()
-    expected = np.empty((n, 2))
-    expected[0] = kf.x_hat
-    for k in range(1, n):
-        kf.step(v1[k - 1] - v2[k - 1], z_line[k])
-        expected[k] = kf.x_hat
+
+    def standalone():
+        return KalmanEstimator(disc, q_eff=0.5 * (q_eff + q_eff.T), r=r2)
+
+    expected, expected_nis = filter_record(standalone(), z_line, v1 - v2)
     np.testing.assert_array_equal(out.x_hat, expected)
+    np.testing.assert_array_equal(out.nis, expected_nis)
+    x_ref, nis_ref = step_oracle(standalone(), z_line, v1 - v2)
+    assert_close(out.x_hat, x_ref)
+    assert_close(out.nis, nis_ref)
+
+
+def meshed_scenario():
+    """Six buses on a ring with two chords (eight lines, 16 global states),
+    global filter at 1 kHz, 0.2 s with a load step at 0.1 s."""
+    raw = m.bundled_config_dict()
+    dgus = raw["topology"]["dgus"]
+    raw["topology"]["dgus"] = [
+        {**dgus[(b - 1) % 3], "bus": b} for b in range(1, 7)
+    ]
+    pairs = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 4), (2, 5)]
+    lines = raw["topology"]["lines"]
+    raw["topology"]["lines"] = [
+        {**lines[j % 3], "from_bus": a, "to_bus": b} for j, (a, b) in enumerate(pairs)
+    ]
+    sim = raw["simulation"]
+    sim["duration_s"] = 0.2
+    sim["controller"]["droop_v_per_a"] = 0.1
+    sim["controller"]["reference_scale"] = [1.004, 1.0, 0.996, 1.002, 0.998, 1.0]
+    sim["loads"]["initial_amps"] = sim["loads"]["initial_amps"] * 2
+    sim["loads"]["events"][0]["time_s"] = 0.1
+    raw["estimation"]["global_rate_hz"] = 1000.0
+    raw["estimation"]["metrics"]["windows_s"] = [[0.05, 0.2]]
+    return m.load_scenario_dict(raw)
+
+
+def global_step_oracle(result):
+    """``run_global``'s record run one ``KalmanEstimator.step`` at a time by
+    a fresh filter with the global estimator's model and noise, inputs
+    assembled here from the local voltage estimates."""
+    est = result.global_estimator
+    topo = est.topology
+    gt = result.global_trace
+    ticks = {
+        bus: downsample(tr, est.rate_hz) for bus, tr in result.local_estimates.items()
+    }
+    u = np.column_stack(
+        [
+            ticks[line.from_bus].x_hat[:, 0:2] - ticks[line.to_bus].x_hat[:, 0:2]
+            for line in topo.lines
+        ]
+    )
+    z = gt.z_state[:, 4 * topo.n_buses :]
+    kf = KalmanEstimator(est.kf.model, q_eff=est.kf.q_eff, r=est.kf.r)
+    return step_oracle(kf, z, u)
+
+
+@pytest.mark.parametrize("case", ["reference", "meshed"])
+def test_global_estimator_matches_step_oracle(reference_scenario, case):
+    if case == "reference":
+        sim = dataclasses.replace(
+            reference_scenario.sim,
+            duration_s=1.0,
+            events=EventSchedule((m.LoadStep(0.5, 1, 150.0, 30.0),)),
+        )
+        scn = dataclasses.replace(reference_scenario, sim=sim)
+    else:
+        scn = meshed_scenario()
+    trace = m.simulate_scenario(scn)
+    result = m.estimate_scenario(scn, trace)
+    kf = result.global_estimator.kf
+    n = len(result.global_estimate)
+    updates = gain_schedule(kf.model.a_d, kf.q_eff, kf.r, kf.r, n - 1).gains.shape[0]
+    # the record holds the whole gain schedule plus a steady-gain stretch
+    assert updates < n - 1
+    if case == "meshed":
+        assert kf.n_states == 16 and updates >= 5
+    x_ref, nis_ref = global_step_oracle(result)
+    assert_close(result.global_estimate.x_hat, x_ref)
+    assert_close(result.global_estimate.nis, nis_ref)
+
+
+def test_no_production_path_steps_per_sample(reference_scenario, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("per-step filter API called")
+
+    for name in ("predict", "update", "step"):
+        monkeypatch.setattr(KalmanEstimator, name, refuse)
+    scn = dataclasses.replace(
+        reference_scenario, sim=quiet_sim(reference_scenario, duration=0.1)
+    )
+    result = m.estimate_scenario(scn, m.simulate_scenario(scn))
+    assert len(result.global_estimate) == 11
+    assert np.isfinite(result.global_estimate.x_hat).all()
 
 
 def test_local_runs_are_schedule_independent(reference_scenario):
@@ -248,14 +337,28 @@ def test_local_estimator_at_divided_rate(reference_scenario, reference_topology)
     assert err[-50:].max() < 1e-6
 
 
-def test_filter_failure_reports_sample_index(reference_scenario, reference_topology):
-    trace = run_plant(quiet_sim(reference_scenario, duration=0.01))
-    est = build_local_estimator(reference_topology, 1, LOCAL_SPEC, 10_000.0)
-    est.kf = KalmanEstimator(
-        est.kf.model, q_eff=np.zeros((4, 4)), r=np.zeros((4, 4)), p0=np.zeros((4, 4))
+@pytest.mark.parametrize(
+    "layer, what",
+    [("local", "local estimator bus 1"), ("global", "global estimator")],
+    ids=["local", "global"],
+)
+def test_filter_failure_reports_sample_index(reference_scenario, layer, what):
+    scn = dataclasses.replace(
+        reference_scenario, sim=quiet_sim(reference_scenario, duration=0.05)
     )
-    with pytest.raises(RuntimeError, match="sample 1"):
-        run_local(est, trace)
+    result = m.estimate_scenario(scn, m.simulate_scenario(scn))
+    est = result.local_estimators[0] if layer == "local" else result.global_estimator
+    zeros = np.zeros((est.kf.n_states, est.kf.n_states))
+    est.kf = KalmanEstimator(est.kf.model, q_eff=zeros, r=zeros, p0=zeros)
+    with pytest.raises(RuntimeError, match=f"{what}: filter failure at sample 1 "):
+        if layer == "local":
+            run_local(est, result.local_trace)
+        else:
+            ticks = {
+                bus: downsample(tr, est.rate_hz)
+                for bus, tr in result.local_estimates.items()
+            }
+            run_global(est, ticks, result.global_trace)
 
 
 def test_rmse_examples():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from filter_oracle import assert_close, step_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -339,25 +340,6 @@ def _random_filter(seed, n, n_inputs, radius):
     return model, q, r, p0, rng
 
 
-def _step_oracle(kf, z, u):
-    """The recursion one ``KalmanEstimator.step`` at a time."""
-    x_hat = np.empty_like(z)
-    nis = np.full(z.shape[0], np.nan)
-    kf.x_hat = z[0].copy()
-    x_hat[0] = kf.x_hat
-    for k in range(1, z.shape[0]):
-        kf.step(u[k - 1], z[k])
-        x_hat[k] = kf.x_hat
-        nis[k] = kf.nis
-    return x_hat, nis
-
-
-def _assert_close(actual, expected, rtol=1e-9):
-    scale = max(1.0, float(np.abs(expected[np.isfinite(expected)]).max(initial=0.0)))
-    np.testing.assert_array_equal(np.isnan(actual), np.isnan(expected))
-    assert np.nanmax(np.abs(actual - expected), initial=0.0) <= rtol * scale
-
-
 def _compare_with_oracle(seed, n, n_inputs, radius, steps):
     model, q, r, p0, rng = _random_filter(seed, n, n_inputs, radius)
     z = rng.standard_normal((steps, n)) * 10.0 + 50.0
@@ -365,11 +347,11 @@ def _compare_with_oracle(seed, n, n_inputs, radius, steps):
     split = KalmanEstimator(model, q_eff=q, r=r, p0=p0)
     oracle = KalmanEstimator(model, q_eff=q, r=r, p0=p0)
     x_hat, nis = filter_record(split, z, u)
-    x_ref, nis_ref = _step_oracle(oracle, z, u)
-    _assert_close(x_hat, x_ref)
-    _assert_close(nis[1:], nis_ref[1:])
-    _assert_close(split.x_hat, oracle.x_hat)
-    _assert_close(split.p, oracle.p)
+    x_ref, nis_ref = step_oracle(oracle, z, u)
+    assert_close(x_hat, x_ref)
+    assert_close(nis[1:], nis_ref[1:])
+    assert_close(split.x_hat, oracle.x_hat)
+    assert_close(split.p, oracle.p)
     return gain_schedule(model.a_d, q, r, p0, steps - 1)
 
 
