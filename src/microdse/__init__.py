@@ -71,7 +71,6 @@ from .sim import (
     SimNoise,
     SimulationDivergedError,
     Trace,
-    TraceRecord,
     VoltageRegulator,
     closed_loop_matrix,
     downsample,

@@ -175,8 +175,50 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+def _objects_of(value_schema: dict) -> dict:
+    return {"type": "object", "additionalProperties": value_schema}
+
+
+def _record(**fields) -> dict:
+    return {"type": "object", "required": list(fields), "properties": fields}
+
+
+_NUMBER = {"type": "number"}
+_NUMBER_OR_NULL = {"type": ["number", "null"]}
+
+#: The shape of the ``metrics.json`` sections that ``report`` prints.
+_REPORT_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "channels": _objects_of(
+            _record(
+                windows={
+                    "type": "array",
+                    "items": _record(
+                        window_s={
+                            "type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2
+                        },
+                        rmse_estimate=_NUMBER,
+                        rmse_measurement=_NUMBER,
+                        improvement_ratio=_NUMBER_OR_NULL,
+                    ),
+                }
+            )
+        ),
+        "innovation": _objects_of(_record(mean_nis=_NUMBER, dim={"type": "integer"})),
+        "tracking": _objects_of(
+            {
+                "type": "array",
+                "items": _record(event_time_s=_NUMBER, recovery_time_s=_NUMBER_OR_NULL),
+            }
+        ),
+    },
+}
+
+
 def cmd_report(args) -> int:
     metrics = cfgmod.read_json_object(args.metrics, "metrics")
+    cfgmod._schema_check(metrics, _REPORT_SCHEMA, "metrics")
     channels = metrics.get("channels", {})
     if not channels:
         print("no data")

@@ -136,13 +136,15 @@ def apply_overrides(raw: dict, overrides: dict) -> dict:
     return out
 
 
-def _schema_check(raw: dict) -> None:
-    validator = jsonschema.Draft202012Validator(load_schema())
+def _schema_check(raw: dict, schema: dict | None = None, what: str = "configuration") -> None:
+    """Raise ``ConfigError`` naming the first place where ``raw`` breaks
+    ``schema`` (default: the scenario schema)."""
+    validator = jsonschema.Draft202012Validator(load_schema() if schema is None else schema)
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         path = ".".join(str(p) for p in err.absolute_path) or "$"
-        raise ConfigError(f"invalid configuration at {path}: {err.message}")
+        raise ConfigError(f"invalid {what} at {path}: {err.message}")
 
 
 def _topology(raw: dict) -> MicrogridTopology:

@@ -10,7 +10,10 @@ steady-state posterior voltage blocks.
 
 Both layers share one filter model (H = I, constant Q_eff and R), so both
 run a record the same way, through ``kalman.filter_record``: a data-free
-gain schedule, then a state pass with the converged gain.
+gain schedule, then a state pass with the converged gain.  ``run_locals``
+computes the schedules of all its buses as one stack
+(``kalman.schedules_of``) and then runs each bus's state pass through
+``run_local``; the global filter, and a bus run alone, are stacks of one.
 """
 
 from __future__ import annotations
@@ -24,10 +27,12 @@ import scipy.linalg
 from .discretize import discretize_euler, discretize_exact
 from .kalman import (
     CovarianceError,
+    GainSchedule,
     KalmanEstimator,
     NoiseSpec,
     effective_process_noise,
     filter_record,
+    schedules_of,
     steady_state_covariance,
 )
 from .models import (
@@ -184,41 +189,71 @@ def _check_rate(trace_step: float, rate_hz: float, what: str) -> None:
         )
 
 
-def _estimate(kf: KalmanEstimator, t, z, u, labels, t_step, what: str) -> EstimateTrace:
+def _failure(what: str, t: np.ndarray, exc: CovarianceError) -> RuntimeError:
+    k = exc.step
+    return RuntimeError(f"{what}: filter failure at sample {k} (t={t[k]:.6f}s): {exc}")
+
+
+def _estimate(
+    kf: KalmanEstimator, t, z, u, labels, t_step, what: str, schedule=None
+) -> EstimateTrace:
     """Run ``kf`` over a record through ``kalman.filter_record``: sample 0
     initializes from the measurement, then each sample k predicts with the
     input recorded at k-1 (the value held over the preceding interval) and
     updates with the measurement at k."""
     try:
-        x_hat, nis = filter_record(kf, z, u)
+        x_hat, nis = filter_record(kf, z, u, schedule)
     except CovarianceError as exc:
-        k = exc.step
-        raise RuntimeError(
-            f"{what}: filter failure at sample {k} (t={t[k]:.6f}s): {exc}"
-        ) from exc
+        raise _failure(what, t, exc) from exc
     return EstimateTrace(t=t.copy(), t_step_s=t_step, x_hat=x_hat, labels=labels, nis=nis)
 
 
-def run_local(est: LocalEstimator, trace: Trace) -> EstimateTrace:
+def _local_name(est: LocalEstimator) -> str:
+    return f"local estimator bus {est.bus}"
+
+
+def run_local(
+    est: LocalEstimator, trace: Trace, schedule: GainSchedule | None = None
+) -> EstimateTrace:
     """Run one local estimator over the measured state/input channels of its
-    bus."""
+    bus.  ``schedule`` is its gain schedule from ``run_locals``' stack;
+    without it the bus runs alone, as a stack of one."""
     _check_rate(trace.t_step_s, est.rate_hz, f"local estimator (bus {est.bus})")
     cols = est.state_columns
     z = trace.z_state[:, cols]
     u = trace.u_meas[:, est.input_columns]
     labels = tuple(trace.state_labels[c] for c in cols)
     return _estimate(
-        est.kf, trace.t, z, u, labels, trace.t_step_s, f"local estimator bus {est.bus}"
+        est.kf, trace.t, z, u, labels, trace.t_step_s, _local_name(est), schedule
     )
 
 
 def run_locals(estimators: list[LocalEstimator], trace: Trace) -> dict[int, EstimateTrace]:
-    """Run independent local estimators, one bus at a time; a bus's result
-    depends on its own channels only.
+    """Run independent local estimators; a bus's result depends on its own
+    channels only.
+
+    The covariance layers of all buses run as one stack
+    (``kalman.schedules_of``), then each bus's state pass runs through
+    ``run_local`` with its own schedule.  Each filter leaves the stack at
+    its own convergence step, so a bus gets the same result, bit for bit,
+    alone as in any batch.  If several buses fail, the one reported is the
+    bus whose covariance fails at the earliest sample; of several failing
+    at that sample, the first in ``estimators``.
 
     Estimators are stateful, so pass freshly built instances.
     """
-    return {est.bus: run_local(est, trace) for est in estimators}
+    if not estimators:
+        return {}
+    for est in estimators:
+        _check_rate(trace.t_step_s, est.rate_hz, f"local estimator (bus {est.bus})")
+    try:
+        schedules = schedules_of([est.kf for est in estimators], len(trace) - 1)
+    except CovarianceError as exc:
+        raise _failure(_local_name(estimators[exc.index]), trace.t, exc) from exc
+    return {
+        est.bus: run_local(est, trace, schedule)
+        for est, schedule in zip(estimators, schedules)
+    }
 
 
 def run_global(

@@ -11,7 +11,12 @@ sequences do not depend on the data.  ``filter_record`` therefore runs a
 whole record as two layers: ``gain_schedule`` iterates the covariance
 recursion alone until consecutive posteriors agree, and a state pass
 then applies those gains, with the last one held as the steady-state
-gain (Anderson & Moore, *Optimal Filtering*, 1979, ch. 4).
+gain (Anderson & Moore, *Optimal Filtering*, 1979, ch. 4).  The
+covariance layer runs on stacks of (B, n, n) arrays, so the schedules of
+many independent filters cost one loop of batched small-matrix
+operations; each filter leaves the stack when it converges, and its
+schedule is the same, bit for bit, for every B and stack order.  A lone
+filter is a stack of one.
 ``steady_state_covariance`` takes the limit directly from the discrete
 algebraic Riccati equation (DARE; Arnold & Laub, Proc. IEEE 1984).
 ``KalmanEstimator`` is the per-step API of the same recursion and the
@@ -39,11 +44,14 @@ STEADY_STATE_RTOL = 1e-13
 
 
 class CovarianceError(np.linalg.LinAlgError):
-    """A covariance update failed; ``step`` counts updates from 1."""
+    """A covariance update failed; ``step`` counts updates from 1 and
+    ``index`` is the failed filter's position in the stack of
+    ``gain_schedule``."""
 
-    def __init__(self, step: int, message: str):
+    def __init__(self, step: int, message: str, index: int = 0):
         super().__init__(message)
         self.step = step
+        self.index = index
 
 
 def _check_covariance(name: str, m: np.ndarray, dim: int | None = None) -> np.ndarray:
@@ -99,9 +107,21 @@ def effective_process_noise(q: np.ndarray, b_d: np.ndarray, m: np.ndarray) -> np
     return 0.5 * (out + out.T)
 
 
+def _transposed(m: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix or of each matrix in a stack."""
+    return m.swapaxes(-1, -2)
+
+
 def _predict_covariance(a_d: np.ndarray, p: np.ndarray, q_eff: np.ndarray) -> np.ndarray:
-    p_prior = a_d @ p @ a_d.T + q_eff
-    return 0.5 * (p_prior + p_prior.T)
+    p_prior = a_d @ p @ _transposed(a_d) + q_eff
+    return 0.5 * (p_prior + _transposed(p_prior))
+
+
+_NOT_POSITIVE_DEFINITE = (
+    "innovation covariance is not positive definite; "
+    "check that R is PSD and P has not collapsed"
+)
+_ILL_CONDITIONED = "innovation covariance is numerically singular (condition number > 1e12)"
 
 
 def _solve_innovation(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -114,22 +134,17 @@ def _solve_innovation(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         )
     diag = np.diagonal(factor)
     if (ipiv <= 0).any() or (diag <= 0.0).any():
-        raise np.linalg.LinAlgError(
-            "innovation covariance is not positive definite; "
-            "check that R is PSD and P has not collapsed"
-        )
+        raise np.linalg.LinAlgError(_NOT_POSITIVE_DEFINITE)
     # the pivot spread lower-bounds the condition number of S
     if diag.max() > 1e12 * diag.min():
-        raise np.linalg.LinAlgError(
-            "innovation covariance is numerically singular (condition number > 1e12)"
-        )
+        raise np.linalg.LinAlgError(_ILL_CONDITIONED)
     return sol
 
 
 def _joseph_update(p_prior: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
-    i_k = np.eye(k.shape[0]) - k
-    p = (i_k @ p_prior) @ i_k.T + (k @ r) @ k.T
-    return 0.5 * (p + p.T)
+    i_k = np.eye(k.shape[-1]) - k
+    p = (i_k @ p_prior) @ _transposed(i_k) + (k @ r) @ _transposed(k)
+    return 0.5 * (p + _transposed(p))
 
 
 class KalmanEstimator:
@@ -241,7 +256,8 @@ def innovation_consistency(
 
 @dataclass(frozen=True)
 class GainSchedule:
-    """Gains of the first updates of a recursion, which depend on no data.
+    """Gains of the first updates of one filter's recursion, which depend
+    on no data.
 
     ``gains[k]`` and ``s_inv[k]`` are the gain and the inverse innovation
     covariance of update k + 1; ``p`` is the posterior covariance after
@@ -255,43 +271,111 @@ class GainSchedule:
     converged: bool
 
 
+def _innovation_failure(s: np.ndarray) -> tuple[int, str] | None:
+    """The first innovation covariance of the stack ``s`` (B, n, n) that is
+    not positive definite or is numerically singular, as (index, reason);
+    None when all pass.
+
+    A Cholesky factor S = L L^T checks both: it exists only for positive
+    definite S, and the spread of its pivots diag(L)^2 lower-bounds the
+    condition number of S.
+    """
+    try:
+        pivots = np.square(np.diagonal(np.linalg.cholesky(s), axis1=1, axis2=2))
+    except np.linalg.LinAlgError:
+        if len(s) == 1:
+            return 0, _NOT_POSITIVE_DEFINITE
+        # the stacked factorization does not say which S failed
+        for i in range(len(s)):
+            failure = _innovation_failure(s[i : i + 1])
+            if failure is not None:
+                return i, failure[1]
+        raise
+    singular = pivots.max(axis=1) > 1e12 * pivots.min(axis=1)
+    if singular.any():
+        return int(np.argmax(singular)), _ILL_CONDITIONED
+    return None
+
+
+#: Updates per filter that ``gain_schedule`` first makes room for; the
+#: room doubles as needed.
+_SCHEDULE_ROWS = 64
+
+
 def gain_schedule(
     a_d: np.ndarray, q_eff: np.ndarray, r: np.ndarray, p0: np.ndarray, max_steps: int
-) -> GainSchedule:
-    """Covariance layer: the predict/update recursion of ``KalmanEstimator``
-    without the state, from the covariance ``p0`` of the initial estimate,
-    for at most ``max_steps`` updates, stopping once consecutive posteriors
-    agree to ``STEADY_STATE_RTOL``.  Raises ``CovarianceError`` naming the
-    failed update."""
-    n = a_d.shape[0]
-    rhs = np.empty((n, 2 * n))
-    rhs[:, n:] = np.eye(n)
-    gains, s_inv = [], []
-    p = p0
-    converged = False
+) -> list[GainSchedule]:
+    """Covariance layer of B independent filters at once.
+
+    ``a_d``, ``q_eff``, ``r`` and ``p0`` are stacks (B, n, n): filter i
+    runs the predict/update recursion of ``KalmanEstimator`` without the
+    state, from the covariance ``p0[i]`` of its initial estimate, for at
+    most ``max_steps`` updates.  Each filter stops once its consecutive
+    posteriors agree to ``STEADY_STATE_RTOL`` and then drops out of the
+    stack, so its schedule, and whether it fails, do not depend on the
+    other filters.  The arithmetic is the same for every B, so a filter run
+    alone (B = 1) gets the same schedule bit for bit as in any stack.
+
+    Returns one ``GainSchedule`` per filter, in stack order.  Raises
+    ``CovarianceError`` for the filter whose innovation covariance fails
+    at the earliest update; of several failing at that update, the first
+    in the stack is reported.
+    """
+    a_d, q_eff, r, p = (np.asarray(m, dtype=float) for m in (a_d, q_eff, r, p0))
+    n_filters, n = a_d.shape[:2]
+    active = np.arange(n_filters)
+    # filter-major, so that each filter's schedule is one contiguous block
+    gains = np.empty((n_filters, min(max_steps, _SCHEDULE_ROWS), n, n))
+    s_invs = np.empty_like(gains)
+    lengths = np.zeros(n_filters, dtype=int)
+    converged = np.zeros(n_filters, dtype=bool)
+    final_p = p.copy()
     for step in range(1, max_steps + 1):
+        if step > gains.shape[1]:
+            rows = min(max_steps, 2 * gains.shape[1])
+            gains, s_invs = (_extended(buf, rows) for buf in (gains, s_invs))
         p_prior = _predict_covariance(a_d, p, q_eff)
-        rhs[:, :n] = p_prior
-        try:
-            sol = _solve_innovation(r + p_prior, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise CovarianceError(step, str(exc)) from exc
-        k = sol[:, :n].T
-        gains.append(k)
-        s_inv.append(sol[:, n:])
+        s = r + p_prior
+        failure = _innovation_failure(s)
+        if failure is not None:
+            i, reason = failure
+            raise CovarianceError(step, reason, index=int(active[i]))
+        s_inv = np.linalg.inv(s)
+        k = p_prior @ s_inv
+        gains[active, step - 1] = k
+        s_invs[active, step - 1] = s_inv
         p_next = _joseph_update(p_prior, k, r)
-        converged = np.abs(p_next - p).max() <= STEADY_STATE_RTOL * max(
-            1.0, np.abs(p_next).max()
+        done = np.abs(p_next - p).max(axis=(1, 2)) <= STEADY_STATE_RTOL * np.maximum(
+            1.0, np.abs(p_next).max(axis=(1, 2))
         )
         p = p_next
-        if converged:
-            break
-    return GainSchedule(
-        gains=np.array(gains).reshape(-1, n, n),
-        s_inv=np.array(s_inv).reshape(-1, n, n),
-        p=p,
-        converged=bool(converged),
-    )
+        if done.any():
+            finished = active[done]
+            lengths[finished] = step
+            converged[finished] = True
+            final_p[finished] = p[done]
+            keep = ~done
+            active, a_d, q_eff, r, p = (m[keep] for m in (active, a_d, q_eff, r, p))
+            if not active.size:
+                break
+    lengths[active] = max_steps
+    final_p[active] = p
+    return [
+        GainSchedule(
+            gains=gains[i, : lengths[i]],
+            s_inv=s_invs[i, : lengths[i]],
+            p=final_p[i],
+            converged=bool(converged[i]),
+        )
+        for i in range(n_filters)
+    ]
+
+
+def _extended(buf: np.ndarray, rows: int) -> np.ndarray:
+    """``buf`` (B, steps, n, n) with room for ``rows`` steps."""
+    out = np.empty((buf.shape[0], rows, *buf.shape[2:]))
+    out[:, : buf.shape[1]] = buf
+    return out
 
 
 #: Rows per block of ``_linear_recursion``.
@@ -337,21 +421,41 @@ def _linear_recursion(
     return g
 
 
+def schedules_of(
+    estimators: list[KalmanEstimator], max_steps: int
+) -> list[GainSchedule]:
+    """``gain_schedule`` of the estimators, stacked, from their current
+    posterior covariances."""
+    return gain_schedule(
+        np.array([kf.model.a_d for kf in estimators]),
+        np.array([kf.q_eff for kf in estimators]),
+        np.array([kf.r for kf in estimators]),
+        np.array([kf.p for kf in estimators]),
+        max_steps,
+    )
+
+
 def filter_record(
-    kf: KalmanEstimator, z: np.ndarray, u: np.ndarray
+    kf: KalmanEstimator,
+    z: np.ndarray,
+    u: np.ndarray,
+    schedule: GainSchedule | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run ``kf`` over a whole record; returns the estimates and the NIS.
 
     Sample 0 initializes the estimate from ``z[0]`` (NaN NIS); each sample
     k >= 1 predicts with ``u[k-1]`` and updates with ``z[k]``, as
-    ``kf.step`` would.  The gains come from ``gain_schedule``; once they
-    have converged to K, the rest of the record is the linear recursion
+    ``kf.step`` would.  The gains come from ``schedule``, which must be
+    ``kf``'s schedule over ``len(z) - 1`` updates, as ``schedules_of``
+    computes it for a stack of filters; without it, ``kf`` runs alone as a
+    stack of one.  Once the gains have converged to K, the rest of the
+    record is the linear recursion
     x_k = (I - K) A x_{k-1} + (I - K) B u_{k-1} + K z_k.  ``kf`` is left
     with the final estimate and posterior covariance.
     """
     n = z.shape[0]
     a_d, b_d = kf.model.a_d, kf.model.b_d
-    sched = gain_schedule(a_d, kf.q_eff, kf.r, kf.p, n - 1)
+    sched = schedules_of([kf], n - 1)[0] if schedule is None else schedule
     m = sched.gains.shape[0]
     bu = u[: n - 1] @ b_d.T
     x_hat = np.empty(z.shape)

@@ -213,18 +213,8 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    """One simulated instant: truth, its noisy measurement, measured inputs."""
-
-    t: float
-    true_state: np.ndarray
-    noisy_measurement: np.ndarray
-    inputs: np.ndarray
-
-
-@dataclass(frozen=True)
 class Trace:
-    """Column-aligned arrays over time; rows are TraceRecords.
+    """Column-aligned arrays over time, one row per sample.
 
     ``u_true``/``u_meas`` hold the per-DGU measured-input channels
     [v_td, v_tq, i_od, i_oq] per bus, which is what the local estimators
@@ -246,14 +236,6 @@ class Trace:
     @property
     def rate_hz(self) -> float:
         return 1.0 / self.t_step_s
-
-    def record(self, k: int) -> TraceRecord:
-        return TraceRecord(
-            t=float(self.t[k]),
-            true_state=self.x_true[k],
-            noisy_measurement=self.z_state[k],
-            inputs=self.u_meas[k],
-        )
 
 
 def downsample(trace, target_rate_hz: float):

@@ -87,6 +87,26 @@ def test_csv_round_trip_is_value_identical(tmp_path):
         np.testing.assert_array_equal(cols[lab], cols2[lab])
 
 
+def _per_value_csv(t, columns):
+    """The CSV text as written one ``repr(float(value))`` at a time."""
+    lines = [",".join(["t", *columns])]
+    for k in range(len(t)):
+        row = [f"{t[k]:.9f}"]
+        row.extend(repr(float(arr[k])) for arr in columns.values())
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [7, 0, 2051], ids=["edge-values", "header-only", "chunks"])
+def test_csv_text_matches_per_value_format(tmp_path, rows):
+    edge = np.resize([-0.0, 5e-324, 1e16, np.nan, np.inf, -np.inf, 0.1], rows)
+    t = np.resize([0.0, 1e-4, 2.5, 1e16, 123456.123456789, 5e-324, -0.0], rows)
+    cols = {"edge": edge, "reversed": edge[::-1].copy(), "third": edge / 3.0}
+    path = tmp_path / "trace.csv"
+    write_csv(path, t, cols)
+    assert path.read_bytes() == _per_value_csv(t, cols).encode()
+
+
 def test_header_only_csv_reads_as_empty_columns(tmp_path):
     path = tmp_path / "empty.csv"
     write_csv(path, np.empty(0), {"a": np.empty(0), "b": np.empty(0)})
@@ -261,6 +281,24 @@ def test_report_outputs(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("not json")
     assert run_cli("report", "--metrics", broken) == 1
+
+
+@pytest.mark.parametrize(
+    "metrics, section",
+    [
+        ({"channels": [1]}, "channels"),
+        ({"channels": {"v_d1": {}}}, "channels.v_d1"),
+        ({"innovation": {"global": {"dim": 4}}}, "innovation.global"),
+    ],
+    ids=["channels-list", "channel-without-windows", "innovation-without-mean-nis"],
+)
+def test_report_rejects_malformed_sections(tmp_path, capsys, metrics, section):
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps(metrics))
+    assert run_cli("report", "--metrics", path) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: invalid metrics at {section}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_bundled_config_matches_reference_parameters():

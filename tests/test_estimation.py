@@ -26,8 +26,9 @@ from microdse import (
     tracking_recovery_time,
 )
 from microdse.estimation import EstimateTrace
-from microdse.kalman import filter_record, gain_schedule
+from microdse.kalman import filter_record, gain_schedule, schedules_of
 from microdse.models import DguParams, LineParams, MicrogridTopology
+from microdse.pipeline import build_local_estimators
 
 LOCAL_SPEC = NoiseSpec.from_std(
     [0.5] * 4, [30.0, 30.0, 20.0, 20.0], [2.0, 2.0, 1.0, 1.0]
@@ -219,7 +220,8 @@ def test_global_estimator_matches_step_oracle(reference_scenario, case):
     result = m.estimate_scenario(scn, trace)
     kf = result.global_estimator.kf
     n = len(result.global_estimate)
-    updates = gain_schedule(kf.model.a_d, kf.q_eff, kf.r, kf.r, n - 1).gains.shape[0]
+    stack = [mat[None] for mat in (kf.model.a_d, kf.q_eff, kf.r, kf.r)]
+    updates = gain_schedule(*stack, n - 1)[0].gains.shape[0]
     # the record holds the whole gain schedule plus a steady-gain stretch
     assert updates < n - 1
     if case == "meshed":
@@ -262,6 +264,95 @@ def test_local_runs_are_schedule_independent(reference_scenario):
         np.testing.assert_array_equal(alone.x_hat, batch[bus].x_hat)
         np.testing.assert_array_equal(alone.x_hat, rev[bus].x_hat)
         np.testing.assert_array_equal(alone.nis, batch[bus].nis)
+
+
+def generated_mesh(seed, n_buses=10, n_chords=4):
+    """A seeded random connected grid: a spanning tree plus ``n_chords``
+    extra lines, parameters drawn inside the README table's ranges, 0.05 s
+    without a load step."""
+    rng = np.random.default_rng(seed)
+    raw = m.bundled_config_dict()
+    raw["topology"]["dgus"] = [
+        {
+            "bus": bus,
+            "r_ohm": rng.uniform(0.9e-3, 1.3e-3),
+            "l_henry": rng.uniform(90e-6, 110e-6),
+            "c_farad": rng.uniform(50e-6, 60e-6),
+        }
+        for bus in range(1, n_buses + 1)
+    ]
+    pairs = {(int(rng.integers(1, b)), b) for b in range(2, n_buses + 1)}
+    while len(pairs) < n_buses - 1 + n_chords:
+        a, b = sorted(int(x) for x in rng.choice(n_buses, 2, replace=False) + 1)
+        pairs.add((a, b))
+    raw["topology"]["lines"] = [
+        {
+            "from_bus": a,
+            "to_bus": b,
+            "r_ohm": rng.uniform(0.9, 1.3),
+            "l_henry": rng.uniform(0.44e-3, 0.67e-3),
+        }
+        for a, b in sorted(pairs)
+    ]
+    sim = raw["simulation"]
+    sim["duration_s"] = 0.05
+    sim["controller"]["droop_v_per_a"] = 0.1
+    sim["controller"]["reference_scale"] = rng.uniform(0.996, 1.004, n_buses).tolist()
+    sim["loads"]["initial_amps"] = [
+        [rng.uniform(150.0, 220.0), rng.uniform(30.0, 40.0)] for _ in range(n_buses)
+    ]
+    sim["loads"]["events"] = []
+    raw["estimation"]["metrics"]["windows_s"] = [[0.01, 0.05]]
+    return m.load_scenario_dict(raw)
+
+
+def test_local_runs_are_order_independent_on_a_generated_mesh():
+    scn = generated_mesh(seed=11)
+    trace = m.simulate_scenario(scn)
+    batch = run_locals(build_local_estimators(scn), trace)
+    rev = run_locals(build_local_estimators(scn)[::-1], trace)
+    # the buses leave the stack at different updates, all inside the record
+    stack = build_local_estimators(scn)
+    lengths = {
+        s.gains.shape[0] for s in schedules_of([est.kf for est in stack], len(trace) - 1)
+    }
+    assert len(stack) == 10 and len(lengths) > 1 and max(lengths) < len(trace) - 1
+    for est in build_local_estimators(scn):
+        alone = run_locals([est], trace)[est.bus]
+        for other in (batch[est.bus], rev[est.bus]):
+            np.testing.assert_array_equal(alone.x_hat, other.x_hat)
+            np.testing.assert_array_equal(alone.nis, other.nis)
+
+
+@pytest.mark.parametrize(
+    "order, broken, reported",
+    [
+        ([1, 2, 3], {2: "late", 3: "early"}, "bus 3: filter failure at sample 1 "),
+        ([1, 2, 3], {2: "early", 3: "early"}, "bus 2: filter failure at sample 1 "),
+        ([3, 2, 1], {2: "early", 3: "early"}, "bus 3: filter failure at sample 1 "),
+        ([3, 2, 1], {1: "late"}, "bus 1: filter failure at sample 5 "),
+    ],
+)
+def test_multi_bus_failure_names_the_earliest_then_first_listed_bus(
+    reference_scenario, order, broken, reported
+):
+    """``run_locals`` reports the bus whose covariance fails at the earliest
+    sample, and of several failing at that sample the first in the list."""
+    scn = dataclasses.replace(
+        reference_scenario, sim=quiet_sim(reference_scenario, duration=0.01)
+    )
+    trace = m.simulate_scenario(scn)
+    zero = np.zeros((4, 4))
+    noise = {
+        "early": dict(q_eff=zero, r=zero, p0=zero),
+        "late": dict(q_eff=zero, r=np.diag([1.0, 1.0, 1.0, 1e-13]), p0=np.eye(4)),
+    }
+    estimators = {est.bus: est for est in build_local_estimators(scn)}
+    for bus, kind in broken.items():
+        est = estimators[bus]
+        est.kf = KalmanEstimator(est.kf.model, **noise[kind])
+    with pytest.raises(RuntimeError, match=f"^local estimator {reported}"):
+        run_locals([estimators[bus] for bus in order], trace)
 
 
 def test_nan_measurement_stays_on_its_own_bus(reference_scenario):

@@ -21,6 +21,7 @@ from microdse.kalman import (
     _linear_recursion,
     filter_record,
     gain_schedule,
+    schedules_of,
 )
 from microdse.models import DguParams
 
@@ -324,6 +325,11 @@ def test_update_rejects_wrong_measurement_shape():
         est.update(np.array([1.0, 2.0]))
 
 
+def _stack(*matrices):
+    """Each matrix as a stack of one, for ``gain_schedule``."""
+    return [m[None] for m in matrices]
+
+
 def _random_filter(seed, n, n_inputs, radius):
     """A stable model with random PSD q_eff, r and p0 (r kept well conditioned)."""
     rng = np.random.default_rng(seed)
@@ -352,7 +358,7 @@ def _compare_with_oracle(seed, n, n_inputs, radius, steps):
     assert_close(nis[1:], nis_ref[1:])
     assert_close(split.x_hat, oracle.x_hat)
     assert_close(split.p, oracle.p)
-    return gain_schedule(model.a_d, q, r, p0, steps - 1)
+    return gain_schedule(*_stack(model.a_d, q, r, p0), steps - 1)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -370,12 +376,99 @@ def test_split_filter_matches_step_oracle(seed, n, n_inputs, radius, steps):
 @pytest.mark.parametrize("seed,radius", [(3, 0.9), (4, 0.9), (5, 0.999)])
 def test_split_filter_matches_oracle_on_both_sides_of_convergence(seed, radius):
     model, q, r, p0, _ = _random_filter(seed, 4, 2, radius)
-    converged_at = gain_schedule(model.a_d, q, r, p0, 100_000).gains.shape[0]
+    converged_at = gain_schedule(*_stack(model.a_d, q, r, p0), 100_000)[0].gains.shape[0]
     assert 2 < converged_at < 5_000
     before = _compare_with_oracle(seed, 4, 2, radius, converged_at)
     assert not before.converged
     after = _compare_with_oracle(seed, 4, 2, radius, converged_at + 500)
     assert after.converged and after.gains.shape[0] == converged_at
+
+
+def _compare_stack_with_oracle(filters, steps, rng):
+    """Run ``filters`` [(model, q, r, p0), ...] as one stack through
+    ``schedules_of``, then each through ``filter_record`` with its own
+    schedule and record, against its own step oracle; returns the
+    schedules."""
+    split = [KalmanEstimator(model, q_eff=q, r=r, p0=p0) for model, q, r, p0 in filters]
+    schedules = schedules_of(split, steps - 1)
+    for kf, sched, (model, q, r, p0) in zip(split, schedules, filters):
+        z = rng.standard_normal((steps, model.n_states)) * 10.0 + 50.0
+        u = rng.standard_normal((steps, model.n_inputs))
+        oracle = KalmanEstimator(model, q_eff=q, r=r, p0=p0)
+        x_hat, nis = filter_record(kf, z, u, sched)
+        x_ref, nis_ref = step_oracle(oracle, z, u)
+        assert_close(x_hat, x_ref)
+        assert_close(nis[1:], nis_ref[1:])
+        assert_close(kf.x_hat, oracle.x_hat)
+        assert_close(kf.p, oracle.p)
+    return schedules
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_filters=st.integers(1, 6),
+    n=st.integers(1, 6),
+    n_inputs=st.integers(1, 4),
+    radii=st.lists(st.floats(0.0, 0.999), min_size=6, max_size=6),
+    steps=st.integers(1, 400),
+)
+def test_stacked_schedule_matches_step_oracle(seed, n_filters, n, n_inputs, radii, steps):
+    filters = [
+        _random_filter(seed + i, n, n_inputs, radii[i])[:4] for i in range(n_filters)
+    ]
+    _compare_stack_with_oracle(filters, steps, np.random.default_rng(seed))
+
+
+def test_stack_cut_inside_some_schedules_equals_each_filter_alone():
+    filters = [
+        _random_filter(seed, 4, 2, radius)[:4]
+        for seed, radius in ((3, 0.9), (4, 0.9), (5, 0.999))
+    ]
+    alone = [
+        gain_schedule(*_stack(model.a_d, q, r, p0), 100_000)[0]
+        for model, q, r, p0 in filters
+    ]
+    lengths = [s.gains.shape[0] for s in alone]
+    # the record ends after the middle filter's convergence step
+    updates = sorted(lengths)[1]
+    schedules = _compare_stack_with_oracle(filters, updates + 1, np.random.default_rng(9))
+    converged = [s.converged for s in schedules]
+    assert converged == [length <= updates for length in lengths]
+    assert any(converged) and not all(converged)
+    for sched, solo in zip(schedules, alone):
+        m = sched.gains.shape[0]
+        assert m == min(updates, solo.gains.shape[0])
+        np.testing.assert_array_equal(sched.gains, solo.gains[:m])
+        np.testing.assert_array_equal(sched.s_inv, solo.s_inv[:m])
+        if sched.converged:
+            np.testing.assert_array_equal(sched.p, solo.p)
+
+
+def test_stacked_schedule_reports_the_earliest_failure_then_the_first_in_stack():
+    a_d = dgu_discrete().a_d
+    zero = np.zeros((4, 4))
+    healthy = (a_d, 1e-2 * np.eye(4), np.eye(4), np.eye(4))
+    # with R near singular, S becomes numerically singular at update 5
+    late = (a_d, zero, np.diag([1.0, 1.0, 1.0, 1e-13]), np.eye(4))
+    early = (a_d, zero, zero, zero)  # S = 0 at the first update
+    # starts at its steady state, so it leaves the stack before ``late`` fails
+    settled = (a_d, *healthy[1:3], steady_state_covariance(*healthy[:3]))
+
+    def failure(*filters):
+        with pytest.raises(CovarianceError) as info:
+            gain_schedule(*(np.array(m) for m in zip(*filters)), 10)
+        return info.value.index, info.value.step, str(info.value)
+
+    index, step, message = failure(late)
+    assert (index, step) == (0, 5) and "numerically singular" in message
+    index, step, message = failure(healthy, late, early)
+    assert (index, step) == (2, 1) and "not positive definite" in message
+    assert failure(healthy, early, late, early)[:2] == (1, 1)
+    assert failure(healthy, late)[:2] == (1, 5)
+    assert failure(healthy, late, late)[:2] == (1, 5)
+    assert failure(settled, late)[:2] == (1, 5)
+    assert gain_schedule(*_stack(*settled), 10)[0].gains.shape[0] < 5
 
 
 @pytest.mark.parametrize("steps", [0, 1, 63, 64, 65, 128, 129, 1000])
@@ -405,5 +498,5 @@ def test_gain_schedule_reports_the_failed_update():
     model = DiscreteLtiModel(np.eye(2), np.zeros((2, 1)), 1.0, "euler")
     zero = np.zeros((2, 2))
     with pytest.raises(CovarianceError) as info:
-        gain_schedule(model.a_d, zero, zero, zero, 10)
+        gain_schedule(*_stack(model.a_d, zero, zero, zero), 10)
     assert info.value.step == 1

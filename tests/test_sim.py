@@ -299,16 +299,6 @@ def test_config_validation():
         EventSchedule((LoadStep(1.0, 1, 1.0, 0.0), LoadStep(1.0, 1, 1.0, 0.0)))
 
 
-def test_trace_record_view(reference_scenario):
-    sim = dataclasses.replace(reference_scenario.sim, duration_s=0.01, events=EventSchedule())
-    trace = run_plant(sim)
-    rec = trace.record(5)
-    assert rec.t == trace.t[5]
-    np.testing.assert_array_equal(rec.true_state, trace.x_true[5])
-    np.testing.assert_array_equal(rec.noisy_measurement, trace.z_state[5])
-    np.testing.assert_array_equal(rec.inputs, trace.u_meas[5])
-
-
 TRACE_FIELDS = ("x_true", "z_state", "u_true", "u_meas")
 PROCESS_NOISE = SimNoise(
     dgu=NoiseSpec.from_std([5.0, 5.0, 2.0, 2.0], [30.0, 30.0, 20.0, 20.0], [2.0, 2.0, 1.0, 1.0]),
