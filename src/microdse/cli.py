@@ -15,7 +15,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ConfigError, ScenarioConfig
-from .models import build_coupled_plant, dgu_input_labels
+from .models import build_coupled_plant, input_record_labels
 from .pipeline import compute_metrics, estimate_scenario, simulate_scenario
 from .sim import SimulationDivergedError, Trace
 from .traceio import read_csv, write_csv
@@ -96,9 +96,7 @@ def cmd_simulate(args) -> int:
         # degenerate run: emit the channel schema without any samples
         topology = cfgmod._topology(raw)
         model = build_coupled_plant(topology)
-        labels = list(model.state_labels) + [
-            lab for b in range(1, topology.n_buses + 1) for lab in dgu_input_labels(b)
-        ]
+        labels = model.state_labels + input_record_labels(topology.n_buses)
         out = _out_dir(args, raw)
         empty = {lab: np.empty(0) for lab in labels}
         for name in ("truth.csv", "measurements.csv"):
@@ -125,11 +123,7 @@ def _read_trace(scn: ScenarioConfig, truth_path: Path, meas_path: Path) -> Trace
         raise ConfigError("traces need at least two samples")
     model = build_coupled_plant(scn.sim.topology)
     state_labels = model.state_labels
-    input_labels = tuple(
-        lab
-        for b in range(1, scn.sim.topology.n_buses + 1)
-        for lab in dgu_input_labels(b)
-    )
+    input_labels = input_record_labels(scn.sim.topology.n_buses)
     for lab in (*state_labels, *input_labels):
         if lab not in truth_cols or lab not in meas_cols:
             raise ConfigError(

@@ -3,8 +3,9 @@ filter over all line currents.
 
 Local estimators consume each bus's own noisy state and input channels
 and are fully independent of each other.  The global estimator treats the
-line currents as states and the differences of the locally estimated bus
-voltages as its (noisy) inputs; the input-noise covariance fed to its
+line currents as states and takes its (noisy) line inputs from the
+locally estimated bus voltages through the grid's incidence
+(``MicrogridTopology.incidence``); the input-noise covariance fed to its
 effective process noise is propagated from the local filters'
 steady-state posterior voltage blocks.
 
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .discretize import discretize_euler, discretize_exact
 from .kalman import (
@@ -39,7 +39,9 @@ from .models import (
     ContinuousLtiModel,
     MicrogridTopology,
     build_dgu_model,
+    block_diagonal,
     build_line_model,
+    bus_columns,
 )
 from .sim import Trace, downsample
 
@@ -76,12 +78,9 @@ class LocalEstimator:
     rate_hz: float
 
     @property
-    def state_columns(self) -> np.ndarray:
-        return 4 * (self.bus - 1) + np.arange(4)
-
-    @property
-    def input_columns(self) -> np.ndarray:
-        return 4 * (self.bus - 1) + np.arange(4)
+    def columns(self) -> np.ndarray:
+        """The bus's columns in the plant state and in the input record."""
+        return bus_columns(self.bus)
 
 
 @dataclass
@@ -127,22 +126,14 @@ def global_input_covariance(
 ) -> np.ndarray:
     """Covariance of the stacked line input vector built from local voltage estimates.
 
-    Each line input is the difference of two estimated bus voltages, so
-    the blocks combine the voltage sub-blocks of the local posterior
-    covariances through the signed incidence map (lines sharing a bus end
-    up correlated).
+    The voltage sub-blocks of the local posterior covariances combine
+    through the transposed signed incidence (lines sharing a bus end up
+    correlated).
     """
-    nb, nl = topology.n_buses, topology.n_lines
-    g = np.zeros((2 * nl, 2 * nb))
-    for j, line in enumerate(topology.lines):
-        fi, ti = line.from_bus - 1, line.to_bus - 1
-        g[2 * j : 2 * j + 2, 2 * fi : 2 * fi + 2] = np.eye(2)
-        g[2 * j : 2 * j + 2, 2 * ti : 2 * ti + 2] = -np.eye(2)
-    p_v = np.zeros((2 * nb, 2 * nb))
-    for b in range(1, nb + 1):
-        p_v[2 * (b - 1) : 2 * b, 2 * (b - 1) : 2 * b] = np.asarray(
-            local_posteriors[b]
-        )[:2, :2]
+    g = np.kron(topology.incidence.T, np.eye(2))
+    p_v = block_diagonal(
+        [np.asarray(local_posteriors[b])[:2, :2] for b in range(1, topology.n_buses + 1)]
+    )
     m = g @ p_v @ g.T
     return 0.5 * (m + m.T)
 
@@ -163,8 +154,8 @@ def build_global_estimator(
     """
     nl = topology.n_lines
     subs = [build_line_model(line, topology.omega) for line in topology.lines]
-    a = scipy.linalg.block_diag(*(s.a for s in subs))
-    b = scipy.linalg.block_diag(*(s.b for s in subs))
+    a = block_diagonal([s.a for s in subs])
+    b = block_diagonal([s.b for s in subs])
     state_labels = tuple(lab for s in subs for lab in s.state_labels)
     input_labels = tuple(lab for s in subs for lab in s.input_labels)
     model = ContinuousLtiModel(a, b, state_labels, input_labels)
@@ -172,9 +163,9 @@ def build_global_estimator(
     q = np.asarray(q, dtype=float)
     r = np.asarray(r, dtype=float)
     if q.shape == (2, 2):
-        q = scipy.linalg.block_diag(*([q] * nl))
+        q = block_diagonal([q] * nl)
     if r.shape == (2, 2):
-        r = scipy.linalg.block_diag(*([r] * nl))
+        r = block_diagonal([r] * nl)
     q_eff = effective_process_noise(q, disc.b_d, input_covariance)
     return GlobalEstimator(
         kf=KalmanEstimator(disc, q_eff=q_eff, r=r), rate_hz=rate_hz, topology=topology
@@ -219,9 +210,9 @@ def run_local(
     bus.  ``schedule`` is its gain schedule from ``run_locals``' stack;
     without it the bus runs alone, as a stack of one."""
     _check_rate(trace.t_step_s, est.rate_hz, f"local estimator (bus {est.bus})")
-    cols = est.state_columns
+    cols = est.columns
     z = trace.z_state[:, cols]
-    u = trace.u_meas[:, est.input_columns]
+    u = trace.u_meas[:, cols]
     labels = tuple(trace.state_labels[c] for c in cols)
     return _estimate(
         est.kf, trace.t, z, u, labels, trace.t_step_s, _local_name(est), schedule
@@ -269,7 +260,7 @@ def run_global(
     plus a state pass.
     """
     topo = est.topology
-    nb, nl = topo.n_buses, topo.n_lines
+    nb = topo.n_buses
     trace_t = line_current_trace.t
     _check_rate(line_current_trace.t_step_s, est.rate_hz, "global estimator")
     for bus in range(1, nb + 1):
@@ -281,12 +272,13 @@ def run_global(
                 f"bus {bus} voltage estimates are not time-aligned with the "
                 "line-current measurements"
             )
-    u = np.empty((trace_t.shape[0], 2 * nl))
-    for j, line in enumerate(topo.lines):
-        v_from = bus_voltage_estimates[line.from_bus].x_hat[:, 0:2]
-        v_to = bus_voltage_estimates[line.to_bus].x_hat[:, 0:2]
-        u[:, 2 * j : 2 * j + 2] = v_from - v_to
-    line_cols = 4 * nb + np.arange(2 * nl)
+    # index the bus voltages rather than multiply by the incidence, so that
+    # a NaN voltage reaches only the lines at its own bus
+    v = np.stack([bus_voltage_estimates[b].x_hat[:, 0:2] for b in range(1, nb + 1)], axis=1)
+    frm = [line.from_bus - 1 for line in topo.lines]
+    to = [line.to_bus - 1 for line in topo.lines]
+    u = (v[:, frm] - v[:, to]).reshape(trace_t.shape[0], 2 * topo.n_lines)
+    line_cols = topo.line_columns
     z = line_current_trace.z_state[:, line_cols]
     labels = tuple(line_current_trace.state_labels[c] for c in line_cols)
     return _estimate(

@@ -10,6 +10,11 @@ throughout the package:
   difference ``v_i - v_j``.
 * Bus output current is the local load plus the signed sum of incident
   line currents.
+
+``MicrogridTopology.incidence`` (the signed coupling), ``bus_columns`` and
+``MicrogridTopology.line_columns`` (the column layout: four columns per
+bus, then two per line) and ``input_record_labels`` are the one home of
+this structure; the simulator, the estimators and the metrics read them.
 """
 
 from __future__ import annotations
@@ -120,6 +125,28 @@ class MicrogridTopology:
     def n_lines(self) -> int:
         return len(self.lines)
 
+    @property
+    def incidence(self) -> np.ndarray:
+        """Signed bus-line incidence (n_buses x n_lines): +1 where a line
+        leaves its from-bus, -1 where it enters its to-bus."""
+        inc = np.zeros((self.n_buses, self.n_lines))
+        for j, line in enumerate(self.lines):
+            inc[line.from_bus - 1, j] = 1.0
+            inc[line.to_bus - 1, j] = -1.0
+        return inc
+
+    @property
+    def line_columns(self) -> np.ndarray:
+        """Plant-state columns of the line currents, [i_d, i_q] per line."""
+        return 4 * self.n_buses + np.arange(2 * self.n_lines)
+
+
+def bus_columns(bus: int | np.ndarray) -> np.ndarray:
+    """Columns of a bus's four DGU channels, in the plant state vector and in
+    the per-bus DGU input record alike.  An array of buses broadcasts: with
+    buses shaped (k, 1) the result holds one row per bus."""
+    return 4 * (bus - 1) + np.arange(4)
+
 
 @dataclass(frozen=True)
 class ContinuousLtiModel:
@@ -157,6 +184,18 @@ class ContinuousLtiModel:
         return self.b.shape[1]
 
 
+def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    """``scipy.linalg.block_diag`` of square blocks, without the per-block
+    overhead that dominates it on grids of many buses."""
+    n = sum(len(blk) for blk in blocks)
+    out = np.zeros((n, n))
+    k = 0
+    for blk in blocks:
+        out[k : k + len(blk), k : k + len(blk)] = blk
+        k += len(blk)
+    return out
+
+
 def dgu_state_labels(bus: int | None = None) -> tuple[str, ...]:
     s = "" if bus is None else str(bus)
     return (f"v_d{s}", f"v_q{s}", f"i_td{s}", f"i_tq{s}")
@@ -165,6 +204,11 @@ def dgu_state_labels(bus: int | None = None) -> tuple[str, ...]:
 def dgu_input_labels(bus: int | None = None) -> tuple[str, ...]:
     s = "" if bus is None else str(bus)
     return (f"v_td{s}", f"v_tq{s}", f"i_od{s}", f"i_oq{s}")
+
+
+def input_record_labels(n_buses: int) -> tuple[str, ...]:
+    """Labels of the per-bus DGU input record: v_td1, v_tq1, i_od1, i_oq1, ..."""
+    return tuple(lab for bus in range(1, n_buses + 1) for lab in dgu_input_labels(bus))
 
 
 def line_state_labels(line: LineParams) -> tuple[str, ...]:
@@ -219,57 +263,34 @@ def build_line_model(p: LineParams, omega: float) -> ContinuousLtiModel:
 def build_coupled_plant(topology: MicrogridTopology) -> ContinuousLtiModel:
     """Whole-microgrid model stacking all DGU and line states.
 
-    Coupling resolves the shared variables: each bus output current is the
-    local load plus signed incident line currents, and each line sees the
-    difference of its endpoint bus voltages.  The free inputs that remain
-    are the per-DGU terminal voltages followed by the per-bus load
-    currents (d, q interleaved).
+    Coupling resolves the shared variables through the signed incidence:
+    each line sees the difference of its endpoint bus voltages, and each
+    bus output current is the local load plus the signed incident line
+    currents.  The free inputs that remain are the per-DGU terminal
+    voltages followed by the per-bus load currents (d, q interleaved).
     """
     nb = topology.n_buses
-    nl = topology.n_lines
-    n = 4 * nb + 2 * nl
-    m = 4 * nb
-    a = np.zeros((n, n))
-    b = np.zeros((n, m))
-    state_labels: list[str] = []
-    input_labels: list[str] = []
-
-    for k, dgu in enumerate(topology.dgus):
-        sub = build_dgu_model(dgu, topology.omega, bus=k + 1)
-        r0 = 4 * k
-        a[r0 : r0 + 4, r0 : r0 + 4] = sub.a
-        b[r0 : r0 + 4, 2 * k : 2 * k + 2] = sub.b[:, 0:2]  # terminal voltage
-        b[r0 : r0 + 4, 2 * nb + 2 * k : 2 * nb + 2 * k + 2] = sub.b[:, 2:4]  # load
-        state_labels.extend(sub.state_labels)
-    input_labels.extend(
-        lab for k in range(nb) for lab in (f"v_td{k + 1}", f"v_tq{k + 1}")
-    )
-    input_labels.extend(
-        lab for k in range(nb) for lab in (f"i_ld{k + 1}", f"i_lq{k + 1}")
-    )
-
-    for j, line in enumerate(topology.lines):
-        sub = build_line_model(line, topology.omega)
-        c0 = 4 * nb + 2 * j
-        a[c0 : c0 + 2, c0 : c0 + 2] = sub.a
-        fi = line.from_bus - 1
-        ti = line.to_bus - 1
-        inv_l = 1.0 / line.l
-        # line driven by v_from - v_to
-        a[c0, 4 * fi] += inv_l
-        a[c0, 4 * ti] -= inv_l
-        a[c0 + 1, 4 * fi + 1] += inv_l
-        a[c0 + 1, 4 * ti + 1] -= inv_l
-        # line current leaves the from-bus capacitor and enters the to-bus one
-        inv_cf = 1.0 / topology.dgus[fi].c_t
-        inv_ct = 1.0 / topology.dgus[ti].c_t
-        a[4 * fi, c0] -= inv_cf
-        a[4 * fi + 1, c0 + 1] -= inv_cf
-        a[4 * ti, c0] += inv_ct
-        a[4 * ti + 1, c0 + 1] += inv_ct
-        state_labels.extend(sub.state_labels)
-
-    return ContinuousLtiModel(a, b, tuple(state_labels), tuple(input_labels))
+    dgus = [build_dgu_model(p, topology.omega, bus=k + 1) for k, p in enumerate(topology.dgus)]
+    lines = [build_line_model(p, topology.omega) for p in topology.lines]
+    a = block_diagonal([s.a for s in dgus + lines])
+    # each bus's terminal voltage, then its load in place of its output current
+    buses = bus_columns(np.arange(1, nb + 1)[:, None])  # one row per bus
+    terminal = np.arange(2 * nb).reshape(nb, 2)
+    inputs = np.hstack([terminal, 2 * nb + terminal])
+    b = np.zeros((a.shape[0], 4 * nb))
+    b[buses[:, :, None], inputs[:, None, :]] = [s.b for s in dgus]
+    lc = topology.line_columns
+    volts = buses[:, :2].ravel()
+    inv_l = np.array([1.0 / p.l for p in topology.lines])
+    inv_c = np.array([1.0 / p.c_t for p in topology.dgus])
+    inc = topology.incidence
+    a[np.ix_(lc, volts)] = np.kron(inv_l[:, None] * inc.T, np.eye(2))
+    a[np.ix_(volts, lc)] = np.kron(-inv_c[:, None] * inc, np.eye(2))
+    state_labels = tuple(lab for s in dgus + lines for lab in s.state_labels)
+    input_labels = tuple(
+        lab for k in range(1, nb + 1) for lab in (f"v_td{k}", f"v_tq{k}")
+    ) + tuple(lab for k in range(1, nb + 1) for lab in (f"i_ld{k}", f"i_lq{k}"))
+    return ContinuousLtiModel(a, b, state_labels, input_labels)
 
 
 def power_flow(v: DqSample, i: DqSample) -> tuple[float, float]:

@@ -24,6 +24,7 @@ from .estimation import (
     run_locals,
     tracking_recovery_time,
 )
+from .models import bus_columns
 from .sim import Trace, downsample, run_plant
 
 
@@ -112,7 +113,7 @@ def compute_metrics(scn: ScenarioConfig, result: EstimationResult) -> dict:
     channels: dict[str, dict] = {}
     for bus in sorted(result.local_estimates):
         etr = result.local_estimates[bus]
-        cols = 4 * (bus - 1) + np.arange(4)
+        cols = bus_columns(bus)
         _window_channels(
             lt.t,
             etr.x_hat,
@@ -124,8 +125,7 @@ def compute_metrics(scn: ScenarioConfig, result: EstimationResult) -> dict:
             channels,
         )
     gt = result.global_trace
-    nb = sim.topology.n_buses
-    line_cols = 4 * nb + np.arange(2 * sim.topology.n_lines)
+    line_cols = sim.topology.line_columns
     _window_channels(
         gt.t,
         result.global_estimate.x_hat,
@@ -157,8 +157,7 @@ def compute_metrics(scn: ScenarioConfig, result: EstimationResult) -> dict:
         pre_mask = (lt.t >= pre_window[0]) & (lt.t < min(pre_window[1], ev.time_s))
         for bus in sorted(result.local_estimates):
             etr = result.local_estimates[bus]
-            cols = 4 * (bus - 1) + np.arange(4)
-            err = etr.x_hat - lt.x_true[:, cols]
+            err = etr.x_hat - lt.x_true[:, bus_columns(bus)]
             rec = tracking_recovery_time(lt.t, err, pre_mask, ev.time_s, horizon)
             tracking.setdefault(f"local_bus{bus}", []).append(
                 {

@@ -34,7 +34,8 @@ from .models import (
     ContinuousLtiModel,
     MicrogridTopology,
     build_coupled_plant,
-    dgu_input_labels,
+    bus_columns,
+    input_record_labels,
 )
 
 
@@ -272,30 +273,15 @@ def _covariance_factor(cov: np.ndarray) -> np.ndarray:
     return v * np.sqrt(w)
 
 
-def _bus_index_arrays(nb: int):
-    base = 4 * np.arange(nb)
-    return base, base + 1, base + 2, base + 3
-
-
-def _incidence(topology: MicrogridTopology) -> np.ndarray:
-    """Signed bus-line incidence: +1 where the line leaves, -1 where it enters."""
-    inc = np.zeros((topology.n_buses, topology.n_lines))
-    for j, line in enumerate(topology.lines):
-        inc[line.from_bus - 1, j] = 1.0
-        inc[line.to_bus - 1, j] = -1.0
-    return inc
+def _bus_index_arrays(nb: int) -> np.ndarray:
+    """Plant columns of v_d, v_q, i_td and i_tq, one row each over all buses."""
+    return bus_columns(np.arange(1, nb + 1)[:, None]).T
 
 
 def _output_current_map(topology: MicrogridTopology) -> np.ndarray:
     """Maps the plant state to stacked per-bus line outflow [d, q interleaved]."""
-    nb, nl = topology.n_buses, topology.n_lines
-    n = 4 * nb + 2 * nl
-    io = np.zeros((2 * nb, n))
-    inc = _incidence(topology)
-    for j in range(nl):
-        col = 4 * nb + 2 * j
-        io[0::2, col] = inc[:, j]
-        io[1::2, col + 1] = inc[:, j]
+    io = np.zeros((2 * topology.n_buses, 4 * topology.n_buses + 2 * topology.n_lines))
+    io[:, topology.line_columns] = np.kron(topology.incidence, np.eye(2))
     return io
 
 
@@ -312,7 +298,7 @@ def regulated_equilibrium(
     nb = topology.n_buses
     omega = topology.omega
     loads = np.asarray(loads, dtype=float)
-    inc = _incidence(topology)
+    inc = topology.incidence
     r_line = np.array([ln.r for ln in topology.lines])
     l_line = np.array([ln.l for ln in topology.lines])
     z2 = r_line**2 + (omega * l_line) ** 2
@@ -339,12 +325,14 @@ def regulated_equilibrium(
     ref_d = controller.reference - kd * i_od
     integ_d = (v_td - ref_d + controller.virtual_resistance * i_td) / controller.ki
     integ_q = (v_tq + controller.virtual_resistance * i_tq) / controller.ki
-    x = np.zeros(4 * nb + 2 * topology.n_lines)
-    x[0 : 4 * nb : 4] = v_d
-    x[2 : 4 * nb : 4] = i_td
-    x[3 : 4 * nb : 4] = i_tq
-    x[4 * nb :: 2] = i_line_d
-    x[4 * nb + 1 :: 2] = i_line_q
+    idx_vd, _, idx_itd, idx_itq = _bus_index_arrays(nb)
+    lines = topology.line_columns
+    x = np.zeros(4 * nb + lines.size)
+    x[idx_vd] = v_d
+    x[idx_itd] = i_td
+    x[idx_itq] = i_tq
+    x[lines[0::2]] = i_line_d
+    x[lines[1::2]] = i_line_q
     return x, integ_d, integ_q, np.column_stack([v_td, v_tq])
 
 
@@ -419,19 +407,20 @@ def closed_loop_matrix(cfg: SimConfig) -> np.ndarray:
     return _closed_loop(cfg).a
 
 
-def _add_process_noise(rng, out: np.ndarray, cfg: SimConfig) -> None:
-    """Add one process-noise draw per row of ``out`` (plant columns), in
-    the fixed order: DGU blocks bus by bus, then line blocks."""
-    steps = out.shape[0]
-    nb = cfg.topology.n_buses
-    f_dgu_q = _covariance_factor(cfg.noise.dgu.q)
-    f_line_q = _covariance_factor(cfg.noise.line.q)
-    blocks = [(4 * b, 4, f_dgu_q) for b in range(nb)]
-    blocks += [(4 * nb + 2 * j, 2, f_line_q) for j in range(cfg.topology.n_lines)]
-    for c0, width, factor in blocks:
-        draw = rng.standard_normal((steps, width))
+def _add_noise(rng, out: np.ndarray, topology, dgu_cov, line_cov=None) -> None:
+    """Add one draw per row of ``out`` to each block of its columns, in the
+    fixed order: DGU blocks bus by bus, then (given ``line_cov``) line
+    blocks.  This order is the draw order of every noise stream."""
+    f_dgu = _covariance_factor(dgu_cov)
+    blocks = [(bus_columns(b), f_dgu) for b in range(1, topology.n_buses + 1)]
+    if line_cov is not None:
+        f_line = _covariance_factor(line_cov)
+        blocks += [(cols, f_line) for cols in topology.line_columns.reshape(-1, 2)]
+    for cols, factor in blocks:
+        draw = rng.standard_normal((out.shape[0], cols.size))
         if factor.any():
-            out[:, c0 : c0 + width] += draw @ factor.T
+            # a block's columns are contiguous: add through a view, not a copy
+            out[:, cols[0] : cols[-1] + 1] += draw @ factor.T
 
 
 def _diverged(t_k: float, guard: float) -> SimulationDivergedError:
@@ -532,7 +521,7 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
     # until the pass reaches it, row k + 1 holds step k's process noise
     x_true = np.zeros((n_rec, n))
     x_true[0] = xi0[:n]
-    _add_process_noise(rng, x_true[1:], cfg)
+    _add_noise(rng, x_true[1:], topo, cfg.noise.dgu.q, cfg.noise.line.q)
     u_true = np.empty((n_rec, 4 * nb))
     if ctl is not None:
         nominal = max(1.0, float(ctl.reference.max()))
@@ -610,8 +599,6 @@ def run_plant(cfg: SimConfig) -> Trace:
     input measurement) so that configs differing only in noise magnitudes
     share the underlying standard-normal draws.
     """
-    topo = cfg.topology
-    nb, nl = topo.n_buses, topo.n_lines
     loop = _closed_loop(cfg)
     dt = cfg.plant_step_s
     n_rec = int(round(cfg.duration_s / dt)) + 1
@@ -620,20 +607,10 @@ def run_plant(cfg: SimConfig) -> Trace:
     x_true, u_true = _truth(cfg, loop, t, rng)
 
     noise = cfg.noise
-    f_dgu_r = _covariance_factor(noise.dgu.r)
-    f_line_r = _covariance_factor(noise.line.r)
-    f_dgu_m = _covariance_factor(noise.dgu.m)
     z_state = x_true.copy()
-    for b in range(nb):
-        z_state[:, 4 * b : 4 * b + 4] += rng.standard_normal((n_rec, 4)) @ f_dgu_r.T
-    for j in range(nl):
-        c0 = 4 * nb + 2 * j
-        z_state[:, c0 : c0 + 2] += rng.standard_normal((n_rec, 2)) @ f_line_r.T
+    _add_noise(rng, z_state, cfg.topology, noise.dgu.r, noise.line.r)
     u_meas = u_true.copy()
-    for b in range(nb):
-        u_meas[:, 4 * b : 4 * b + 4] += rng.standard_normal((n_rec, 4)) @ f_dgu_m.T
-
-    input_labels = tuple(lab for b in range(1, nb + 1) for lab in dgu_input_labels(b))
+    _add_noise(rng, u_meas, cfg.topology, noise.dgu.m)
     return Trace(
         t=t,
         t_step_s=dt,
@@ -642,5 +619,5 @@ def run_plant(cfg: SimConfig) -> Trace:
         u_true=u_true,
         u_meas=u_meas,
         state_labels=loop.model.state_labels,
-        input_labels=input_labels,
+        input_labels=input_record_labels(cfg.topology.n_buses),
     )

@@ -3,7 +3,8 @@
 Schema: first column ``t`` in seconds with 9 decimal places, then one
 column per labeled channel.  Channel values are written with shortest
 round-trip float formatting, so a written trace reads back
-value-identical.  A header with no rows is an empty trace.
+value-identical.  A header with no rows is an empty trace; a header that
+names a column twice is rejected.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ def read_csv(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         header = line.rstrip("\r\n").split(",")
         if header[0] != "t":
             raise ValueError(f"{path}: first column must be 't', got {header[:1]}")
+        if len(set(header)) != len(header):
+            repeated = next(lab for i, lab in enumerate(header) if lab in header[:i])
+            raise ValueError(f"{path}: column {repeated!r} appears more than once")
         with warnings.catch_warnings():
             # a header with no rows is the documented empty trace
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)

@@ -131,6 +131,33 @@ def test_csv_ragged_row_names_the_line(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("header", ["t,v_d1,v_d1", "t,a,t"])
+def test_csv_repeated_column_names_the_file_and_label(tmp_path, header):
+    path = tmp_path / "repeated.csv"
+    path.write_text(f"{header}\n0.0,1.0,2.0\n")
+    label = header.split(",")[-1]
+    with pytest.raises(ValueError, match=f"repeated.csv: column '{label}' appears more than once"):
+        read_csv(path)
+
+
+def test_estimate_rejects_a_repeated_trace_column(short_config, tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert run_cli("simulate", "--config", short_config, "--out", out) == 0
+    lines = (out / "truth.csv").read_text().splitlines()
+    # append a second copy of v_d1 to every row
+    col = lines[0].split(",").index("v_d1")
+    (out / "truth.csv").write_text(
+        "\n".join(f"{line},{line.split(',')[col]}" for line in lines) + "\n"
+    )
+    assert run_cli(
+        "estimate", "--config", short_config, "--out", out,
+        "--truth", out / "truth.csv", "--measurements", out / "measurements.csv",
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "truth.csv: column 'v_d1' appears more than once" in err
+
+
 def test_csv_nan_tokens_parse(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text("t,a\n0.0,nan\n0.1,1.5\n")

@@ -49,7 +49,7 @@ def test_noise_free_equilibrium_estimates_are_exact(reference_scenario, referenc
     for bus in (1, 2, 3):
         est = build_local_estimator(reference_topology, bus, LOCAL_SPEC, 10_000.0)
         out = run_local(est, trace)
-        cols = est.state_columns
+        cols = est.columns
         err = np.abs(out.x_hat - trace.x_true[:, cols])
         assert err[-100:].max() < 1e-6
 
@@ -424,7 +424,7 @@ def test_local_estimator_at_divided_rate(reference_scenario, reference_topology)
     est = build_local_estimator(reference_topology, 2, LOCAL_SPEC, 5000.0)
     out = run_local(est, half)
     assert out.rate_hz == pytest.approx(5000.0)
-    err = np.abs(out.x_hat - half.x_true[:, est.state_columns])
+    err = np.abs(out.x_hat - half.x_true[:, est.columns])
     assert err[-50:].max() < 1e-6
 
 
