@@ -12,9 +12,9 @@ steady-state posterior voltage blocks.
 Both layers share one filter model (H = I, constant Q_eff and R), so both
 run a record the same way, through ``kalman.filter_record``: a data-free
 gain schedule, then a state pass with the converged gain.  ``run_locals``
-computes the schedules of all its buses as one stack
-(``kalman.schedules_of``) and then runs each bus's state pass through
-``run_local``; the global filter, and a bus run alone, are stacks of one.
+runs all its buses as one stack, reading each bus's columns of the trace
+in place, and ``run_local`` wraps each bus's share of the result; the
+global filter, and a bus run alone, are stacks of one.
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ import numpy as np
 from .discretize import discretize_euler, discretize_exact
 from .kalman import (
     CovarianceError,
-    GainSchedule,
     KalmanEstimator,
     NoiseSpec,
     effective_process_noise,
     filter_record,
-    schedules_of,
     steady_state_covariance,
 )
 from .models import (
@@ -42,6 +40,7 @@ from .models import (
     block_diagonal,
     build_line_model,
     bus_columns,
+    bus_records,
 )
 from .sim import Trace, downsample
 
@@ -151,8 +150,11 @@ def build_global_estimator(
     ``q``/``r`` are either per-line 2x2 blocks (tiled to every line) or
     full stacked matrices; ``input_covariance`` is the stacked covariance
     of the bus-voltage-difference inputs, see ``global_input_covariance``.
+    Raises ``ValueError`` for a grid without lines.
     """
     nl = topology.n_lines
+    if nl == 0:
+        raise ValueError("the global estimator needs at least one line; the grid has none")
     subs = [build_line_model(line, topology.omega) for line in topology.lines]
     a = block_diagonal([s.a for s in subs])
     b = block_diagonal([s.b for s in subs])
@@ -185,37 +187,25 @@ def _failure(what: str, t: np.ndarray, exc: CovarianceError) -> RuntimeError:
     return RuntimeError(f"{what}: filter failure at sample {k} (t={t[k]:.6f}s): {exc}")
 
 
-def _estimate(
-    kf: KalmanEstimator, t, z, u, labels, t_step, what: str, schedule=None
-) -> EstimateTrace:
-    """Run ``kf`` over a record through ``kalman.filter_record``: sample 0
-    initializes from the measurement, then each sample k predicts with the
-    input recorded at k-1 (the value held over the preceding interval) and
-    updates with the measurement at k."""
-    try:
-        x_hat, nis = filter_record(kf, z, u, schedule)
-    except CovarianceError as exc:
-        raise _failure(what, t, exc) from exc
-    return EstimateTrace(t=t.copy(), t_step_s=t_step, x_hat=x_hat, labels=labels, nis=nis)
-
-
 def _local_name(est: LocalEstimator) -> str:
     return f"local estimator bus {est.bus}"
 
 
 def run_local(
-    est: LocalEstimator, trace: Trace, schedule: GainSchedule | None = None
+    est: LocalEstimator,
+    trace: Trace,
+    record: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EstimateTrace:
-    """Run one local estimator over the measured state/input channels of its
-    bus.  ``schedule`` is its gain schedule from ``run_locals``' stack;
-    without it the bus runs alone, as a stack of one."""
-    _check_rate(trace.t_step_s, est.rate_hz, f"local estimator (bus {est.bus})")
-    cols = est.columns
-    z = trace.z_state[:, cols]
-    u = trace.u_meas[:, cols]
-    labels = tuple(trace.state_labels[c] for c in cols)
-    return _estimate(
-        est.kf, trace.t, z, u, labels, trace.t_step_s, _local_name(est), schedule
+    """The estimates of one local estimator over the measured state/input
+    channels of its bus.  ``record`` is the bus's (estimates, NIS) from
+    ``run_locals``' stacked pass; without it the bus runs alone, as a
+    stack of one."""
+    if record is None:
+        return run_locals([est], trace)[est.bus]
+    x_hat, nis = record
+    labels = tuple(trace.state_labels[c] for c in est.columns)
+    return EstimateTrace(
+        t=trace.t.copy(), t_step_s=trace.t_step_s, x_hat=x_hat, labels=labels, nis=nis
     )
 
 
@@ -223,13 +213,13 @@ def run_locals(estimators: list[LocalEstimator], trace: Trace) -> dict[int, Esti
     """Run independent local estimators; a bus's result depends on its own
     channels only.
 
-    The covariance layers of all buses run as one stack
-    (``kalman.schedules_of``), then each bus's state pass runs through
-    ``run_local`` with its own schedule.  Each filter leaves the stack at
-    its own convergence step, so a bus gets the same result, bit for bit,
-    alone as in any batch.  If several buses fail, the one reported is the
-    bus whose covariance fails at the earliest sample; of several failing
-    at that sample, the first in ``estimators``.
+    All buses run as one stack through ``kalman.filter_record``, which
+    reads each bus's columns of the trace; ``run_local`` then wraps each
+    bus's share.  Each filter leaves the stack at its own convergence
+    step, so a bus gets the same result, bit for bit, alone as in any
+    batch.  If several buses fail, the one reported is the bus whose
+    covariance fails at the earliest sample; of several failing at that
+    sample, the first in ``estimators``.
 
     Estimators are stateful, so pass freshly built instances.
     """
@@ -237,13 +227,20 @@ def run_locals(estimators: list[LocalEstimator], trace: Trace) -> dict[int, Esti
         return {}
     for est in estimators:
         _check_rate(trace.t_step_s, est.rate_hz, f"local estimator (bus {est.bus})")
+    buses = np.array([est.bus for est in estimators])
+    n_buses = int(buses.max())
     try:
-        schedules = schedules_of([est.kf for est in estimators], len(trace) - 1)
+        x_hat, nis = filter_record(
+            [est.kf for est in estimators],
+            bus_records(trace.z_state, n_buses),
+            bus_records(trace.u_meas, n_buses),
+            buses - 1,
+        )
     except CovarianceError as exc:
         raise _failure(_local_name(estimators[exc.index]), trace.t, exc) from exc
     return {
-        est.bus: run_local(est, trace, schedule)
-        for est, schedule in zip(estimators, schedules)
+        est.bus: run_local(est, trace, (x, n))
+        for est, x, n in zip(estimators, x_hat, nis)
     }
 
 
@@ -280,14 +277,25 @@ def run_global(
     u = (v[:, frm] - v[:, to]).reshape(trace_t.shape[0], 2 * topo.n_lines)
     line_cols = topo.line_columns
     z = line_current_trace.z_state[:, line_cols]
+    try:
+        x_hat, nis = filter_record([est.kf], z[:, None], u[:, None])
+    except CovarianceError as exc:
+        raise _failure("global estimator", trace_t, exc) from exc
     labels = tuple(line_current_trace.state_labels[c] for c in line_cols)
-    return _estimate(
-        est.kf, trace_t, z, u, labels, line_current_trace.t_step_s, "global estimator"
+    return EstimateTrace(
+        t=trace_t.copy(),
+        t_step_s=line_current_trace.t_step_s,
+        x_hat=x_hat[0],
+        labels=labels,
+        nis=nis[0],
     )
 
 
 def rmse(estimate: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-channel root-mean-square error plus the all-channel aggregate."""
+    """Per-channel root-mean-square error plus the all-channel aggregate.
+
+    Each channel's mean runs over its own samples alone, so a channel's
+    RMSE does not depend on the other channels of the block."""
     estimate = np.asarray(estimate, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if estimate.shape != truth.shape:
@@ -297,8 +305,10 @@ def rmse(estimate: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]:
         truth = truth[:, None]
     if estimate.shape[0] == 0:
         raise ValueError("empty traces")
-    sq = np.square(estimate - truth)
-    return np.sqrt(sq.mean(axis=0)), float(np.sqrt(sq.mean()))
+    # channel-major, so that each channel's samples are one contiguous row
+    sq = np.subtract(estimate.T, truth.T, order="C")
+    np.square(sq, out=sq)
+    return np.sqrt(sq.mean(axis=1)), float(np.sqrt(sq.mean()))
 
 
 def tracking_recovery_time(
@@ -308,30 +318,42 @@ def tracking_recovery_time(
     event_time: float,
     horizon_s: float,
     factor: float = 3.0,
-) -> float:
+) -> float | np.ndarray:
     """Seconds after ``event_time`` until the estimation error is back at its
     steady level.
 
-    The per-channel errors are normalized by their pre-event RMS, combined
-    into one RMS magnitude per sample, and the recovery instant is the
-    first time from which that magnitude stays below ``factor`` for the
-    rest of the horizon.  Returns ``inf`` when it never settles within the
-    horizon.
+    ``errors`` (N, C) holds the error of C channels per sample, or (N, G, C)
+    those of G independent groups (one per bus, say), each scored on its
+    own; the result is then an array of G times.  The per-channel errors
+    are normalized by their RMS over the samples of ``pre_mask``, combined
+    into one RMS magnitude per sample and group, and the recovery instant
+    is the first time from which that magnitude stays below ``factor`` for
+    the rest of the horizon.  A group that never settles within the
+    horizon gets ``inf``.  Raises ``ValueError`` when the pre-event window
+    holds no sample, or when a channel has no error in it.
     """
     t = np.asarray(t, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    sigma = np.sqrt(np.square(errors[pre_mask]).mean(axis=0))
+    if not np.any(pre_mask):
+        raise ValueError("pre-event window holds no samples")
+    pre = errors[pre_mask]
+    sigma = np.sqrt(np.square(pre, out=pre).mean(axis=0))
     if (sigma <= 0.0).any():
         raise ValueError("pre-event window has zero error variance on some channel")
     post = (t >= event_time) & (t <= event_time + horizon_s)
     if not post.any():
         raise ValueError("no samples inside the recovery horizon")
-    norm = np.sqrt(np.square(errors[post] / sigma).mean(axis=1))
+    scaled = errors[post]
+    scaled /= sigma
+    norm = np.sqrt(np.square(scaled, out=scaled).mean(axis=-1))
     above = norm >= factor
-    if not above.any():
-        return 0.0
-    last_above = np.flatnonzero(above)[-1]
-    if last_above + 1 >= norm.shape[0]:
-        return float("inf")
+    n_post = norm.shape[0]
+    # the sample after each group's last one above the factor; 0 for none
+    settled = np.where(above.any(axis=0), n_post - np.argmax(above[::-1], axis=0), 0)
     t_post = t[post]
-    return float(t_post[last_above + 1] - event_time)
+    out = np.where(
+        settled >= n_post,
+        np.inf,
+        np.where(settled == 0, 0.0, t_post[np.minimum(settled, n_post - 1)] - event_time),
+    )
+    return float(out) if out.ndim == 0 else out

@@ -11,12 +11,16 @@ sequences do not depend on the data.  ``filter_record`` therefore runs a
 whole record as two layers: ``gain_schedule`` iterates the covariance
 recursion alone until consecutive posteriors agree, and a state pass
 then applies those gains, with the last one held as the steady-state
-gain (Anderson & Moore, *Optimal Filtering*, 1979, ch. 4).  The
-covariance layer runs on stacks of (B, n, n) arrays, so the schedules of
-many independent filters cost one loop of batched small-matrix
-operations; each filter leaves the stack when it converges, and its
-schedule is the same, bit for bit, for every B and stack order.  A lone
-filter is a stack of one.
+gain (Anderson & Moore, *Optimal Filtering*, 1979, ch. 4).  Both layers
+run on stacks of filters, so many independent filters cost one loop of
+batched small-matrix operations.  The covariance layer works on (B, n, n)
+arrays and each filter leaves the stack when it converges.  The state pass
+steps the filters still inside their schedules one sample at a time, then
+runs each filter's steady-gain remainder from its own convergence step as
+a blocked linear recursion, a bounded segment of rows at a time.  A
+filter's schedule and estimates are the same, bit for bit, for every B and
+stack order (for the estimates, under the BLAS condition that
+``filter_record`` states), and a lone filter is a stack of one.
 ``steady_state_covariance`` takes the limit directly from the discrete
 algebraic Riccati equation (DARE; Arnold & Laub, Proc. IEEE 1984).
 ``KalmanEstimator`` is the per-step API of the same recursion and the
@@ -110,6 +114,19 @@ def effective_process_noise(q: np.ndarray, b_d: np.ndarray, m: np.ndarray) -> np
 def _transposed(m: np.ndarray) -> np.ndarray:
     """Transpose of a matrix or of each matrix in a stack."""
     return m.swapaxes(-1, -2)
+
+
+def _right_factor(m: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of the stack ``m``, laid out C-contiguous:
+    ``x @ _right_factor(m)`` applies m to every row of x, and numpy's
+    stacked products run several times faster on it than on a transposed
+    view."""
+    return np.ascontiguousarray(_transposed(m))
+
+
+def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m v for each matrix of the stack ``m`` and vector of ``v``."""
+    return (m @ v[..., None])[..., 0]
 
 
 def _predict_covariance(a_d: np.ndarray, p: np.ndarray, q_eff: np.ndarray) -> np.ndarray:
@@ -380,14 +397,24 @@ def _extended(buf: np.ndarray, rows: int) -> np.ndarray:
 
 #: Rows per block of ``_linear_recursion``.
 _BLOCK = 64
+#: Values (filters x rows x states) per working array of one segment of
+#: the steady tails in ``filter_record``.
+_SEGMENT_VALUES = 2**16
 
 
 def _linear_recursion(
-    f: np.ndarray, x0: np.ndarray, g: np.ndarray, f_block: np.ndarray | None = None
+    f: np.ndarray,
+    x0: np.ndarray,
+    g: np.ndarray,
+    f_block: np.ndarray | None = None,
+    lengths: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Overwrite the rows g_1..g_N of ``g`` with x_1..x_N of
-    x_k = f x_{k-1} + g_k, from x0, and return ``g``.  ``f_block`` is
-    f^_BLOCK, for callers that run many records with the same f.
+    """Overwrite the rows g_1..g_N of each record in ``g`` (B, N, n) with
+    x_1..x_N of x_k = f x_{k-1} + g_k, from x0 (B, n), for the B systems of
+    the stack ``f`` (B, n, n).  ``f_block`` is f^_BLOCK, for callers that
+    run many records with the same f.  Record i may end after
+    ``lengths[i]`` rows (default N); its later rows are left undefined.
+    Returns the state that starts the block after the last full one.
 
     The rows are cut into blocks of ``_BLOCK``.  One pass over the block
     offsets runs every block at once from a zero state.  A pass over the
@@ -395,30 +422,45 @@ def _linear_recursion(
     f^_BLOCK, and a second pass over the offsets adds f^(j+1) times every
     block's start state to its j-th row, one matrix product per offset.
     That is N / _BLOCK + 2 _BLOCK small steps in Python instead of N, with
-    one row per block of memory besides ``g``.  Rows after the last full
-    block are stepped one at a time.
+    one row per block of memory besides ``g``.  The rows of a record after
+    its last full block are stepped one at a time from that block's start.
+    Each system's rows are the same, bit for bit, for every B.
     """
     if not g.flags.c_contiguous:
         raise ValueError("the recursion runs in place on a C-contiguous array")
-    steps, n = g.shape
+    n_sys, steps, n = g.shape
     blocks = steps // _BLOCK
-    y = g[: blocks * _BLOCK].reshape(blocks, _BLOCK, n)
-    ft = f.T
+    every = np.arange(n_sys)
+    lengths = np.full(n_sys, steps) if lengths is None else np.asarray(lengths)
+    stepped_from = lengths // _BLOCK * _BLOCK
+    n_stepped = lengths - stepped_from
+    stepped_rows = np.minimum(
+        stepped_from[:, None] + np.arange(n_stepped.max(initial=0)), steps - 1
+    )
+    # kept before the block passes overwrite them
+    stepped_g = g[every[:, None], stepped_rows]
+    y = g[:, : blocks * _BLOCK].reshape(n_sys, blocks, _BLOCK, n)
+    ft = _transposed(f)
     for j in range(1, _BLOCK):
-        y[:, j] += y[:, j - 1] @ ft
+        y[:, :, j] += y[:, :, j - 1] @ ft
     if f_block is None and blocks:
         f_block = np.linalg.matrix_power(f, _BLOCK)
-    starts = np.empty((blocks, n))
+    starts = np.empty((n_sys, blocks + 1, n))
     x = x0
     for b in range(blocks):
-        starts[b] = x
-        x = f_block @ x + y[b, -1]
+        starts[:, b] = x
+        x = _apply(f_block, x) + y[:, b, -1]
+    starts[:, blocks] = x
+    offsets = starts[:, :blocks]
     for j in range(_BLOCK):
-        starts = starts @ ft
-        y[:, j] += starts
-    for k in range(blocks * _BLOCK, steps):
-        x = g[k] = f @ x + g[k]
-    return g
+        offsets = offsets @ ft
+        y[:, :, j] += offsets
+    x_step = starts[every, stepped_from // _BLOCK]
+    for r in range(stepped_rows.shape[1]):
+        x_step = _apply(f, x_step) + stepped_g[:, r]
+        keep = r < n_stepped
+        g[every[keep], stepped_rows[keep, r]] = x_step[keep]
+    return x
 
 
 def schedules_of(
@@ -436,51 +478,169 @@ def schedules_of(
 
 
 def filter_record(
-    kf: KalmanEstimator,
+    filters: list[KalmanEstimator],
     z: np.ndarray,
     u: np.ndarray,
-    schedule: GainSchedule | None = None,
+    index: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``kf`` over a whole record; returns the estimates and the NIS.
+    """Run B filters of one state dimension over their records at once;
+    returns the estimates (B, N, n) and the NIS (B, N).
 
-    Sample 0 initializes the estimate from ``z[0]`` (NaN NIS); each sample
-    k >= 1 predicts with ``u[k-1]`` and updates with ``z[k]``, as
-    ``kf.step`` would.  The gains come from ``schedule``, which must be
-    ``kf``'s schedule over ``len(z) - 1`` updates, as ``schedules_of``
-    computes it for a stack of filters; without it, ``kf`` runs alone as a
-    stack of one.  Once the gains have converged to K, the rest of the
-    record is the linear recursion
-    x_k = (I - K) A x_{k-1} + (I - K) B u_{k-1} + K z_k.  ``kf`` is left
-    with the final estimate and posterior covariance.
+    ``z`` (N, R, n) and ``u`` (N, R, p) hold R measurement and input
+    records, sample-major; filter i reads ``z[:, index[i]]`` and
+    ``u[:, index[i]]`` (default: record i).  They are read a segment at a
+    time, so they may be strided views of a wider trace.
+
+    Sample 0 initializes each estimate from its measurement (NaN NIS); each
+    sample k >= 1 predicts with the input at k-1 and updates with the
+    measurement at k, as ``KalmanEstimator.step`` would.  The gains come
+    from the filters' stacked ``schedules_of`` over N - 1 updates, which
+    raises ``CovarianceError`` with the failed filter's index.  The state
+    pass then runs in two segments:
+
+    * updates 1..max m_i, one sample at a time, each for the filters still
+      inside their own schedule (filter i's is m_i updates long);
+    * once filter i's gain has converged to K, the rest of its record is
+      the linear recursion x_k = (I - K) A x_{k-1} + (I - K) B u_{k-1} +
+      K z_k.  Every filter runs it from its own cut m_i through
+      ``_linear_recursion``, in segments of whole blocks of at most
+      ``_SEGMENT_VALUES`` values per working array, and each segment hands
+      the next the start of its next block, so that no row depends on
+      where a segment ends.
+
+    Each filter is left with its final estimate and posterior covariance.
+    A filter's results are the same, bit for bit, alone as in any stack
+    and order, provided BLAS rounds each row of a matrix product the same
+    for every row count of at least two.  OpenBLAS does for small models
+    such as the 4-state local filters; for products of wide matrices with
+    few rows it may not.  The stack never decides whether a product is a
+    matrix-vector one, which BLAS rounds differently.
     """
-    n = z.shape[0]
-    a_d, b_d = kf.model.a_d, kf.model.b_d
-    sched = schedules_of([kf], n - 1)[0] if schedule is None else schedule
-    m = sched.gains.shape[0]
-    bu = u[: n - 1] @ b_d.T
-    x_hat = np.empty(z.shape)
-    x = x_hat[0] = z[0]
-    for k in range(1, m + 1):
-        x_prior = a_d @ x + bu[k - 1]
-        x = x_hat[k] = x_prior + sched.gains[k - 1] @ (z[k] - x_prior)
-    if m < n - 1:
-        k_inf = sched.gains[-1]
-        i_k = np.eye(k_inf.shape[0]) - k_inf
-        rest = x_hat[m + 1 :]
-        np.matmul(bu[m:], i_k.T, out=rest)
-        rest += z[m + 1 :] @ k_inf.T
-        _linear_recursion(i_k @ a_d, x_hat[m], rest)
-    innovation = z[1:] - (x_hat[:-1] @ a_d.T + bu)
-    nis = np.full(n, np.nan)
-    nis[1 : m + 1] = np.einsum(
-        "ki,kij,kj->k", innovation[:m], sched.s_inv, innovation[:m]
-    )
-    if m < n - 1:
-        tail = innovation[m:]
-        nis[m + 1 :] = np.einsum("ki,ki->k", tail @ sched.s_inv[-1].T, tail)
-    kf.x_hat = x_hat[-1].copy()
-    kf.p = sched.p
+    z = np.asarray(z, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if z.shape[0] == 0:
+        raise ValueError("empty record")
+    index = np.arange(len(filters)) if index is None else np.asarray(index)
+    schedules = schedules_of(filters, z.shape[0] - 1)
+    cuts = np.array([s.gains.shape[0] for s in schedules])
+    # longest schedule first: the filters inside their schedules at an
+    # update, and those whose tails still run in a segment, are then a
+    # prefix and a suffix of ``order``
+    order = np.argsort(-cuts, kind="stable")
+    x_hat = np.empty((len(filters), z.shape[0], z.shape[2]))
+    nis = np.full(x_hat.shape[:2], np.nan)
+    x_hat[:, 0] = z[0, index]
+    _schedule_segment(filters, schedules, order, z, u, index, x_hat, nis)
+    _steady_tails(filters, schedules, order, z, u, index, x_hat, nis)
+    for kf, sched, x in zip(filters, schedules, x_hat):
+        kf.x_hat = x[-1].copy()
+        kf.p = sched.p
     return x_hat, nis
+
+
+def _schedule_segment(filters, schedules, order, z, u, index, x_hat, nis):
+    """Updates 1..max m_i of ``filter_record``, one sample at a time, each
+    for the filters whose schedules reach it, in chunks of updates of at
+    most ``_SEGMENT_VALUES`` gain values."""
+    cuts = np.array([schedules[i].gains.shape[0] for i in order])
+    steps = int(cuts[0])
+    n_filters, _, n = x_hat.shape
+    # filters inside their schedules at update k: order[:active[k - 1]]
+    active = np.searchsorted(-cuts, -np.arange(1, steps + 1), side="right")
+    a_d = np.array([filters[i].model.a_d for i in order])
+    b_dt = _right_factor(np.array([filters[i].model.b_d for i in order]))
+    chunk = max(2, _SEGMENT_VALUES // (n_filters * n * n))
+    x = x_hat[order, 0]
+    for k0 in range(0, steps, chunk):
+        k1 = min(steps, k0 + chunk)
+        live = order[: active[k0]]
+        gains = np.empty((k1 - k0, live.size, n, n))
+        for j, i in enumerate(live):
+            g = schedules[i].gains[k0:k1]
+            gains[: len(g), j] = g
+        zs = z[k0 + 1 : k1 + 1, index[live]]
+        # B u as the rows of one matrix product per filter, of at least
+        # two rows
+        us = u[k0 : max(k1, k0 + 2), index[live]].swapaxes(0, 1)
+        bu = (np.ascontiguousarray(us) @ b_dt[: live.size]).swapaxes(0, 1)
+        innovation = np.empty((k1 - k0, live.size, n))
+        for k in range(k0 + 1, k1 + 1):
+            c, r = active[k - 1], k - 1 - k0
+            x_prior = _apply(a_d[:c], x[:c]) + bu[r, :c]
+            d = innovation[r, :c] = zs[r, :c] - x_prior
+            x = x_prior + _apply(gains[r, :c], d)
+            x_hat[order[:c], k] = x
+        for j, i in enumerate(live):
+            d = innovation[: min(cuts[j], k1) - k0, j]
+            nis[i, k0 + 1 : k0 + 1 + len(d)] = np.einsum(
+                "ki,kij,kj->k", d, schedules[i].s_inv[k0 : k0 + len(d)], d
+            )
+
+
+def _steady_tails(filters, schedules, order, z, u, index, x_hat, nis):
+    """The records of ``filter_record`` after each filter's cut, as one
+    stack of linear recursions run a segment at a time."""
+    n_rec, n = x_hat.shape[1:]
+    cuts = np.array([schedules[i].gains.shape[0] for i in order])
+    # ascending, since ``order`` sorts the cuts descending
+    tails = n_rec - 1 - cuts
+    order, cuts, tails = (a[tails > 0] for a in (order, cuts, tails))
+    if not order.size:
+        return
+    a_d = np.array([filters[i].model.a_d for i in order])
+    k_inf = np.array([schedules[i].gains[-1] for i in order])
+    i_k = np.eye(n) - k_inf
+    f = i_k @ a_d
+    f_block = np.linalg.matrix_power(f, _BLOCK)
+    # right factors of the row products below
+    a_dt, b_dt, k_t, i_kt, s_inv_t = (
+        _right_factor(m)
+        for m in (
+            a_d,
+            np.array([filters[i].model.b_d for i in order]),
+            k_inf,
+            i_k,
+            np.array([schedules[i].s_inv[-1] for i in order]),
+        )
+    )
+    # at least two blocks, so that no block pass multiplies a single row
+    seg_blocks = max(2, _SEGMENT_VALUES // (order.size * n * _BLOCK))
+    start = x_hat[order, cuts]
+    x_prev = start.copy()
+    done = 0
+    first = 0
+    while first < order.size:
+        blocks = min(seg_blocks, max(2, -(-(int(tails[-1]) - done) // _BLOCK)))
+        rows = blocks * _BLOCK
+        live = slice(first, None)
+        valid = np.minimum(tails[live] - done, rows)
+        # the segment holds samples at + 0..rows-1 of each live filter
+        at = cuts[live] + 1 + done
+        zs = np.zeros((valid.size, rows, n))
+        us = np.zeros((valid.size, rows, u.shape[2]))
+        for j, i in enumerate(order[live]):
+            a, v, r = at[j], valid[j], index[i]
+            zs[j, :v] = z[a : a + v, r]
+            us[j, :v] = u[a - 1 : a - 1 + v, r]
+        bu = us @ b_dt[live]
+        del us
+        x = bu @ i_kt[live]
+        x += zs @ k_t[live]
+        # zs - bu, then the innovations z_k - A x_{k-1} - B u_{k-1}, in place;
+        # A x_{k-1} of every row, the segment's first included, comes from
+        # one row product, so that no row rounds by where its segment starts
+        zs -= bu
+        del bu
+        start[live] = _linear_recursion(f[live], start[live], x, f_block[live], valid)
+        zs -= np.concatenate([x_prev[live, None], x[:, :-1]], axis=1) @ a_dt[live]
+        seg_nis = np.einsum("bki,bki->bk", zs @ s_inv_t[live], zs)
+        for j, i in enumerate(order[live]):
+            a, v = at[j], valid[j]
+            x_hat[i, a : a + v] = x[j, :v]
+            nis[i, a : a + v] = seg_nis[j, :v]
+        x_prev[live] = x[:, -1]
+        done += rows
+        first = int(np.searchsorted(tails, done, side="right"))
 
 
 def steady_state_covariance(

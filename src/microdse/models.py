@@ -148,6 +148,13 @@ def bus_columns(bus: int | np.ndarray) -> np.ndarray:
     return 4 * (bus - 1) + np.arange(4)
 
 
+def bus_records(record: np.ndarray, n_buses: int) -> np.ndarray:
+    """The DGU channels of buses 1..``n_buses`` in a state or input record
+    (N, ...) as a view (N, n_buses, 4): ``[:, b - 1]`` holds the columns
+    ``bus_columns(b)``."""
+    return record[:, : 4 * n_buses].reshape(record.shape[0], n_buses, 4)
+
+
 @dataclass(frozen=True)
 class ContinuousLtiModel:
     """Continuous-time pair (A, B) with semantic channel names."""

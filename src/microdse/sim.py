@@ -550,8 +550,10 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
 
     m = xi0.shape[0]
     segment = max(1, _SEGMENT_VALUES // (m * _BLOCK)) * _BLOCK
-    # one power for every segment of a long record
-    a_block = np.linalg.matrix_power(loop.a, _BLOCK) if steps > segment else None
+    # the recursion runs on a stack of one system; one power for every
+    # segment of a long record
+    a_stack = loop.a[None]
+    a_block = np.linalg.matrix_power(a_stack, _BLOCK) if steps > segment else None
     buf = np.empty((min(steps, segment) + 1, m))
     buf[0] = xi0
     saturated = None if clamp_free(buf[:1], 0) else 0
@@ -561,7 +563,7 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
         xi = buf[: rows + 1]
         np.matmul(exo[a : a + rows], loop.g.T, out=xi[1:])
         xi[1:, :n] += x_true[a + 1 : a + 1 + rows]
-        _linear_recursion(loop.a, xi[0], xi[1:], a_block)
+        _linear_recursion(a_stack, xi[:1], xi[None, 1:], a_block)
         x = xi[1:, :n]
         # NaN-safe: a state that is not finite trips the guard as well
         tripped = _first(~((x.max(axis=1) <= guard) & (x.min(axis=1) >= -guard)))

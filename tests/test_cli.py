@@ -385,3 +385,57 @@ def test_json_that_is_not_the_expected_object_exits_with_validation_code(
     assert run_cli(*args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_same_seed_metrics_are_byte_identical(short_config, tmp_path):
+    texts = []
+    for run in ("m1", "m2"):
+        out = tmp_path / run
+        assert run_cli("simulate", "--config", short_config, "--out", out) == 0
+        assert run_cli(
+            "estimate", "--config", short_config, "--out", out,
+            "--truth", out / "truth.csv", "--measurements", out / "measurements.csv",
+        ) == 0
+        texts.append((out / "metrics.json").read_bytes())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["tracking"]["local_bus1"][0]["recovery_time_s"] is not None
+
+
+def test_grid_without_lines_fails_estimate_with_a_plain_error(tmp_path, capsys):
+    raw = m.bundled_config_dict()
+    raw["topology"]["dgus"] = raw["topology"]["dgus"][:1]
+    raw["topology"]["lines"] = []
+    sim = raw["simulation"]
+    sim["duration_s"] = 0.2
+    sim["controller"]["reference_scale"] = sim["controller"]["reference_scale"][:1]
+    sim["loads"]["initial_amps"] = sim["loads"]["initial_amps"][:1]
+    sim["loads"]["events"] = []
+    path = tmp_path / "one_bus.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "one"
+    assert run_cli("simulate", "--config", path, "--out", out) == 0
+    capsys.readouterr()
+    assert run_cli(
+        "estimate", "--config", path, "--out", out,
+        "--truth", out / "truth.csv", "--measurements", out / "measurements.csv",
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "global estimator needs at least one line" in err
+
+
+def test_event_at_time_zero_fails_estimate_with_a_plain_error(short_config, tmp_path, capsys):
+    out = tmp_path / "ev0"
+    common = ("--config", short_config, "--out", out, "--duration", 0.3, "--event-time", 0)
+    assert run_cli("simulate", *common) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(
+            "estimate", *common,
+            "--truth", out / "truth.csv", "--measurements", out / "measurements.csv",
+        ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "event at 0.0 s: pre-event window holds no samples" in err
+    assert not (out / "metrics.json").exists()

@@ -26,6 +26,7 @@ from microdse import (
     tracking_recovery_time,
 )
 from microdse.estimation import EstimateTrace
+from microdse import kalman
 from microdse.kalman import filter_record, gain_schedule, schedules_of
 from microdse.models import DguParams, LineParams, MicrogridTopology
 from microdse.pipeline import build_local_estimators
@@ -152,7 +153,9 @@ def test_single_line_global_equals_standalone_line_filter():
     def standalone():
         return KalmanEstimator(disc, q_eff=0.5 * (q_eff + q_eff.T), r=r2)
 
-    expected, expected_nis = filter_record(standalone(), z_line, v1 - v2)
+    expected, expected_nis = (
+        out[0] for out in filter_record([standalone()], z_line[:, None], (v1 - v2)[:, None])
+    )
     np.testing.assert_array_equal(out.x_hat, expected)
     np.testing.assert_array_equal(out.nis, expected_nis)
     x_ref, nis_ref = step_oracle(standalone(), z_line, v1 - v2)
@@ -324,6 +327,30 @@ def test_local_runs_are_order_independent_on_a_generated_mesh():
             np.testing.assert_array_equal(alone.nis, other.nis)
 
 
+def test_local_runs_are_order_independent_across_segment_edges(monkeypatch):
+    """With a segment budget of two blocks for the 10-bus batch, the batch
+    cuts the steady tails into three segments and a bus alone runs its tail
+    as one; each bus still gets the same bits, alone, in the batch, in
+    reverse and in a shuffled part of the batch."""
+    monkeypatch.setattr(kalman, "_SEGMENT_VALUES", 2 * 10 * 4 * kalman._BLOCK)
+    scn = generated_mesh(seed=11)
+    trace = m.simulate_scenario(scn)
+    cuts = [
+        s.gains.shape[0]
+        for s in schedules_of([e.kf for e in build_local_estimators(scn)], len(trace) - 1)
+    ]
+    assert min(len(trace) - 1 - c for c in cuts) > 2 * 2 * kalman._BLOCK
+    batch = run_locals(build_local_estimators(scn), trace)
+    rev = run_locals(build_local_estimators(scn)[::-1], trace)
+    part = run_locals([build_local_estimators(scn)[i] for i in (6, 2, 9, 0)], trace)
+    for est in build_local_estimators(scn):
+        alone = run_locals([est], trace)[est.bus]
+        for other in (batch, rev, part):
+            if est.bus in other:
+                np.testing.assert_array_equal(alone.x_hat, other[est.bus].x_hat)
+                np.testing.assert_array_equal(alone.nis, other[est.bus].nis)
+
+
 @pytest.mark.parametrize(
     "order, broken, reported",
     [
@@ -490,3 +517,16 @@ def test_tracking_recovery_time_synthetic():
     err2[t >= event, 0] += 100.0
     rec2 = tracking_recovery_time(t, err2, pre, event, horizon_s=0.2)
     assert math.isinf(rec2)
+
+
+def test_global_estimator_rejects_a_grid_without_lines():
+    topo = MicrogridTopology(
+        n_buses=1,
+        dgus=(DguParams(r_t=1.1e-3, l_t=90e-6, c_t=50e-6),),
+        lines=(),
+        omega=2 * math.pi * 60.0,
+    )
+    with pytest.raises(ValueError, match="needs at least one line"):
+        build_global_estimator(
+            topo, q=np.eye(2), r=np.eye(2), rate_hz=100.0, input_covariance=np.zeros((0, 0))
+        )

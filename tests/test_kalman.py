@@ -16,6 +16,7 @@ from microdse import (
     innovation_consistency,
     steady_state_covariance,
 )
+from microdse import kalman
 from microdse.kalman import (
     CovarianceError,
     _linear_recursion,
@@ -352,7 +353,7 @@ def _compare_with_oracle(seed, n, n_inputs, radius, steps):
     u = rng.standard_normal((steps, n_inputs))
     split = KalmanEstimator(model, q_eff=q, r=r, p0=p0)
     oracle = KalmanEstimator(model, q_eff=q, r=r, p0=p0)
-    x_hat, nis = filter_record(split, z, u)
+    x_hat, nis = (out[0] for out in filter_record([split], z[:, None], u[:, None]))
     x_ref, nis_ref = step_oracle(oracle, z, u)
     assert_close(x_hat, x_ref)
     assert_close(nis[1:], nis_ref[1:])
@@ -386,22 +387,28 @@ def test_split_filter_matches_oracle_on_both_sides_of_convergence(seed, radius):
 
 def _compare_stack_with_oracle(filters, steps, rng):
     """Run ``filters`` [(model, q, r, p0), ...] as one stack through
-    ``schedules_of``, then each through ``filter_record`` with its own
-    schedule and record, against its own step oracle; returns the
-    schedules."""
-    split = [KalmanEstimator(model, q_eff=q, r=r, p0=p0) for model, q, r, p0 in filters]
-    schedules = schedules_of(split, steps - 1)
-    for kf, sched, (model, q, r, p0) in zip(split, schedules, filters):
-        z = rng.standard_normal((steps, model.n_states)) * 10.0 + 50.0
-        u = rng.standard_normal((steps, model.n_inputs))
-        oracle = KalmanEstimator(model, q_eff=q, r=r, p0=p0)
-        x_hat, nis = filter_record(kf, z, u, sched)
-        x_ref, nis_ref = step_oracle(oracle, z, u)
-        assert_close(x_hat, x_ref)
-        assert_close(nis[1:], nis_ref[1:])
+    ``filter_record``, each on its own record, against its own step oracle;
+    check that each filter alone gets the same bits as in the stack, and
+    return the stack's schedules."""
+
+    def fresh():
+        return [KalmanEstimator(model, q_eff=q, r=r, p0=p0) for model, q, r, p0 in filters]
+
+    n, n_inputs = filters[0][0].n_states, filters[0][0].n_inputs
+    z = rng.standard_normal((steps, len(filters), n)) * 10.0 + 50.0
+    u = rng.standard_normal((steps, len(filters), n_inputs))
+    split = fresh()
+    x_hat, nis = filter_record(split, z, u)
+    for i, (kf, oracle) in enumerate(zip(split, fresh())):
+        x_ref, nis_ref = step_oracle(oracle, z[:, i], u[:, i])
+        assert_close(x_hat[i], x_ref)
+        assert_close(nis[i, 1:], nis_ref[1:])
         assert_close(kf.x_hat, oracle.x_hat)
         assert_close(kf.p, oracle.p)
-    return schedules
+        alone_x, alone_nis = filter_record([fresh()[i]], z, u, [i])
+        np.testing.assert_array_equal(alone_x[0], x_hat[i])
+        np.testing.assert_array_equal(alone_nis[0], nis[i])
+    return schedules_of(fresh(), steps - 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -418,6 +425,44 @@ def test_stacked_schedule_matches_step_oracle(seed, n_filters, n, n_inputs, radi
         _random_filter(seed + i, n, n_inputs, radii[i])[:4] for i in range(n_filters)
     ]
     _compare_stack_with_oracle(filters, steps, np.random.default_rng(seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_filters=st.integers(1, 6),
+    n=st.integers(1, 4),
+    n_inputs=st.integers(1, 3),
+    radii=st.lists(st.floats(0.0, 0.95), min_size=6, max_size=6),
+    end=st.sampled_from(["before", "inside", "after"]),
+    blocks=st.integers(1, 4),
+    edge=st.sampled_from([-1, 0, 1]),
+    segment_blocks=st.integers(1, 3),
+)
+def test_stacked_pass_matches_step_oracle_around_cuts_and_segment_edges(
+    seed, n_filters, n, n_inputs, radii, end, blocks, edge, segment_blocks
+):
+    """Records that end before every filter's cut, between cuts, or after
+    all of them with the latest-cut filter's steady tail 64k - 1, 64k or
+    64k + 1 rows long, run in segments of two or three blocks, so that the
+    tails cross segment edges."""
+    filters = [
+        _random_filter(seed + i, n, n_inputs, radii[i])[:4] for i in range(n_filters)
+    ]
+    cuts = sorted(
+        gain_schedule(*_stack(model.a_d, q, r, p0), 100_000)[0].gains.shape[0]
+        for model, q, r, p0 in filters
+    )
+    if end == "before":
+        updates = max(1, cuts[0] - 1)
+    elif end == "inside":
+        updates = (cuts[0] + cuts[-1]) // 2
+    else:
+        updates = cuts[-1] + kalman._BLOCK * blocks + edge
+    budget = segment_blocks * n_filters * n * kalman._BLOCK
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kalman, "_SEGMENT_VALUES", budget)
+        _compare_stack_with_oracle(filters, updates + 1, np.random.default_rng(seed))
 
 
 def test_stack_cut_inside_some_schedules_equals_each_filter_alone():
@@ -482,7 +527,35 @@ def test_blocked_linear_recursion_matches_loop(steps):
     x = x0
     for k in range(steps):
         x = expected[k] = f @ x + g[k]
-    np.testing.assert_allclose(_linear_recursion(f, x0, g), expected, rtol=0, atol=1e-11)
+    stacked = g[None].copy()
+    _linear_recursion(f[None], x0[None], stacked)
+    np.testing.assert_allclose(stacked[0], expected, rtol=0, atol=1e-11)
+
+
+def test_blocked_linear_recursion_stops_each_record_at_its_length():
+    """Records of one stack that end at different rows: each gets the rows
+    of its own loop, and the rows of the stack's other records are the
+    same, bit for bit, as when they run alone."""
+    rng = np.random.default_rng(5)
+    lengths = np.array([0, 1, 63, 64, 65, 130, 192])
+    steps = 192
+    theta = rng.uniform(0.0, 0.1, len(lengths))
+    f = 0.999 * np.array(
+        [[[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]] for a in theta]
+    )
+    x0 = rng.standard_normal((len(lengths), 2)) * 100.0
+    g = rng.standard_normal((len(lengths), steps, 2))
+    stacked = g.copy()
+    _linear_recursion(f, x0, stacked, lengths=lengths)
+    for i, length in enumerate(lengths):
+        expected = np.empty((length, 2))
+        x = x0[i]
+        for k in range(length):
+            x = expected[k] = f[i] @ x + g[i, k]
+        np.testing.assert_allclose(stacked[i, :length], expected, rtol=0, atol=1e-11)
+        alone = g[i : i + 1].copy()
+        _linear_recursion(f[i : i + 1], x0[i : i + 1], alone, lengths=lengths[i : i + 1])
+        np.testing.assert_array_equal(stacked[i, :length], alone[0, :length])
 
 
 @settings(max_examples=40, deadline=None)
