@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -67,23 +67,23 @@ class MetricsSettings:
 
     def resolved_windows(self, duration_s: float, events: EventSchedule):
         """Configured windows clamped to the run, or steady windows derived
-        from the event times when none of the configured ones fit."""
-        if self.windows_s is not None:
-            clamped = tuple(
-                (a, min(b, duration_s))
-                for a, b in self.windows_s
-                if a < min(b, duration_s)
-            )
-            if clamped:
-                return clamped
-        if events.steps:
-            first = events.steps[0].time_s
-            last = events.last_time
-            return (
-                (min(1.0, 0.5 * first), first),
-                (min(last + 0.5, duration_s), duration_s),
-            )
-        return ((min(1.0, 0.25 * duration_s), duration_s),)
+        from the event times when none of the configured ones fit.
+
+        Either way a window [a, b] is kept only if a < b, so a derived
+        post-event window that the run leaves no room for (the event less
+        than 0.5 s before the end) is dropped, not scored on one sample.
+        """
+        windows = [(a, min(b, duration_s)) for a, b in self.windows_s or ()]
+        if not any(a < b for a, b in windows):
+            if events.steps:
+                first = events.steps[0].time_s
+                windows = [
+                    (min(1.0, 0.5 * first), first),
+                    (min(events.last_time + 0.5, duration_s), duration_s),
+                ]
+            else:
+                windows = [(min(1.0, 0.25 * duration_s), duration_s)]
+        return tuple((a, b) for a, b in windows if a < b)
 
 
 @dataclass(frozen=True)

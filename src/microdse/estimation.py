@@ -42,7 +42,7 @@ from .models import (
     bus_columns,
     bus_records,
 )
-from .sim import Trace, downsample
+from .sim import Trace
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,10 @@ stack order (for the estimates, under the BLAS condition that
 algebraic Riccati equation (DARE; Arnold & Laub, Proc. IEEE 1984).
 ``KalmanEstimator`` is the per-step API of the same recursion and the
 tests' reference for ``filter_record``; the estimators run whole records
-through ``filter_record`` only.
+through ``filter_record`` only.  All three paths, the schedule, the
+per-step update and the DARE's posterior, run one stacked covariance
+update, ``_update_covariance``, so they accept the same innovation
+covariances.
 """
 
 from __future__ import annotations
@@ -33,11 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_discrete_are
+from scipy.linalg import solve_discrete_are
 
 from .discretize import DiscreteLtiModel
-
-_sysv, = get_lapack_funcs(("sysv",), (np.empty((1, 1), dtype=float),))
 
 #: Tolerances for covariance validation.
 SYMMETRY_TOL = 1e-10
@@ -48,11 +49,12 @@ STEADY_STATE_RTOL = 1e-13
 
 
 class CovarianceError(np.linalg.LinAlgError):
-    """A covariance update failed; ``step`` counts updates from 1 and
-    ``index`` is the failed filter's position in the stack of
-    ``gain_schedule``."""
+    """A covariance update failed; ``step`` counts the updates of
+    ``gain_schedule`` from 1 (None for a single update outside it, as in
+    ``KalmanEstimator.update``) and ``index`` is the failed filter's
+    position in the stack."""
 
-    def __init__(self, step: int, message: str, index: int = 0):
+    def __init__(self, step: int | None, message: str, index: int = 0):
         super().__init__(message)
         self.step = step
         self.index = index
@@ -141,27 +143,40 @@ _NOT_POSITIVE_DEFINITE = (
 _ILL_CONDITIONED = "innovation covariance is numerically singular (condition number > 1e12)"
 
 
-def _solve_innovation(s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """S^-1 rhs through a symmetric LDL^T factorization of the innovation
-    covariance S, rejecting S that is indefinite or numerically singular."""
-    factor, ipiv, sol, info = _sysv(s, rhs, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"innovation covariance is singular (sysv info={info})"
-        )
-    diag = np.diagonal(factor)
-    if (ipiv <= 0).any() or (diag <= 0.0).any():
-        raise np.linalg.LinAlgError(_NOT_POSITIVE_DEFINITE)
-    # the pivot spread lower-bounds the condition number of S
-    if diag.max() > 1e12 * diag.min():
-        raise np.linalg.LinAlgError(_ILL_CONDITIONED)
-    return sol
+def _update_covariance(
+    p_prior: np.ndarray, r: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measurement update of the stack (B, n, n) of prior covariances
+    ``p_prior`` with measurement covariances ``r``: the gains, the inverse
+    innovation covariances and the Joseph posteriors, re-symmetrized.
 
-
-def _joseph_update(p_prior: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    Raises ``CovarianceError`` (no step) for the first innovation
+    covariance S = R + P of the stack that is not positive definite or is
+    numerically singular.  Its Cholesky factor S = L L^T checks both: it
+    exists only for positive definite S, and the spread of its pivots
+    diag(L)^2 lower-bounds the condition number of S.
+    """
+    s = r + p_prior
+    try:
+        pivots = np.square(np.diagonal(np.linalg.cholesky(s), axis1=1, axis2=2))
+    except np.linalg.LinAlgError:
+        if len(s) == 1:
+            raise CovarianceError(None, _NOT_POSITIVE_DEFINITE) from None
+        # the stacked factorization does not say which S failed
+        for i in range(len(s)):
+            try:
+                _update_covariance(p_prior[i : i + 1], r[i : i + 1])
+            except CovarianceError as exc:
+                raise CovarianceError(None, str(exc), index=i) from None
+        raise
+    singular = pivots.max(axis=1) > 1e12 * pivots.min(axis=1)
+    if singular.any():
+        raise CovarianceError(None, _ILL_CONDITIONED, index=int(np.argmax(singular)))
+    s_inv = np.linalg.inv(s)
+    k = p_prior @ s_inv
     i_k = np.eye(k.shape[-1]) - k
     p = (i_k @ p_prior) @ _transposed(i_k) + (k @ r) @ _transposed(k)
-    return 0.5 * (p + _transposed(p))
+    return k, s_inv, 0.5 * (p + _transposed(p))
 
 
 class KalmanEstimator:
@@ -220,28 +235,23 @@ class KalmanEstimator:
     def update(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fold in a full-state measurement; returns (innovation, post-fit residual).
 
-        The covariance is updated in Joseph form and re-symmetrized.  The
-        innovation covariance R + P is inverted through a symmetric LDL^T
-        factorization, rejecting matrices that are indefinite or
-        numerically singular.
+        The covariance update is ``gain_schedule``'s on a stack of one:
+        Joseph form, and ``CovarianceError`` (no step) for an innovation
+        covariance R + P that is not positive definite or is numerically
+        singular.
         """
         z = np.asarray(z, dtype=float)
         n = self.model.n_states
         if z.shape != (n,):
             raise ValueError(f"measurement must have shape ({n},), got {z.shape}")
         p_prior = self.p
-        s = self.r + p_prior
+        k, s_inv, p = (m[0] for m in _update_covariance(p_prior[None], self.r[None]))
         innovation = z - self.x_hat
-        rhs = np.empty((n, n + 1))
-        rhs[:, :n] = p_prior
-        rhs[:, n] = innovation
-        sol = _solve_innovation(s, rhs)
-        k = sol[:, :n].T
         self.x_hat = self.x_hat + k @ innovation
-        self.p = _joseph_update(p_prior, k, self.r)
-        self.nis = float(innovation @ sol[:, n])
+        self.p = p
+        self.nis = float(innovation @ s_inv @ innovation)
         self.innovation = innovation
-        self.innovation_cov = s
+        self.innovation_cov = self.r + p_prior
         return innovation, z - self.x_hat
 
     def step(self, u: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,32 +298,6 @@ class GainSchedule:
     converged: bool
 
 
-def _innovation_failure(s: np.ndarray) -> tuple[int, str] | None:
-    """The first innovation covariance of the stack ``s`` (B, n, n) that is
-    not positive definite or is numerically singular, as (index, reason);
-    None when all pass.
-
-    A Cholesky factor S = L L^T checks both: it exists only for positive
-    definite S, and the spread of its pivots diag(L)^2 lower-bounds the
-    condition number of S.
-    """
-    try:
-        pivots = np.square(np.diagonal(np.linalg.cholesky(s), axis1=1, axis2=2))
-    except np.linalg.LinAlgError:
-        if len(s) == 1:
-            return 0, _NOT_POSITIVE_DEFINITE
-        # the stacked factorization does not say which S failed
-        for i in range(len(s)):
-            failure = _innovation_failure(s[i : i + 1])
-            if failure is not None:
-                return i, failure[1]
-        raise
-    singular = pivots.max(axis=1) > 1e12 * pivots.min(axis=1)
-    if singular.any():
-        return int(np.argmax(singular)), _ILL_CONDITIONED
-    return None
-
-
 #: Updates per filter that ``gain_schedule`` first makes room for; the
 #: room doubles as needed.
 _SCHEDULE_ROWS = 64
@@ -351,17 +335,12 @@ def gain_schedule(
         if step > gains.shape[1]:
             rows = min(max_steps, 2 * gains.shape[1])
             gains, s_invs = (_extended(buf, rows) for buf in (gains, s_invs))
-        p_prior = _predict_covariance(a_d, p, q_eff)
-        s = r + p_prior
-        failure = _innovation_failure(s)
-        if failure is not None:
-            i, reason = failure
-            raise CovarianceError(step, reason, index=int(active[i]))
-        s_inv = np.linalg.inv(s)
-        k = p_prior @ s_inv
+        try:
+            k, s_inv, p_next = _update_covariance(_predict_covariance(a_d, p, q_eff), r)
+        except CovarianceError as exc:
+            raise CovarianceError(step, str(exc), index=int(active[exc.index])) from None
         gains[active, step - 1] = k
         s_invs[active, step - 1] = s_inv
-        p_next = _joseph_update(p_prior, k, r)
         done = np.abs(p_next - p).max(axis=(1, 2)) <= STEADY_STATE_RTOL * np.maximum(
             1.0, np.abs(p_next).max(axis=(1, 2))
         )
@@ -649,8 +628,8 @@ def steady_state_covariance(
     """Posterior covariance fixed point of the predict/update recursion.
 
     The prior fixed point solves the filtering DARE, the dual of the
-    control one: P = A P A^T - A P (P + R)^-1 P A^T + Q_eff.  One update
-    step then gives the posterior.
+    control one: P = A P A^T - A P (P + R)^-1 P A^T + Q_eff.  The update
+    of ``gain_schedule`` then gives the posterior.
     """
     a_d = np.asarray(a_d, dtype=float)
     q_eff = np.asarray(q_eff, dtype=float)
@@ -658,5 +637,4 @@ def steady_state_covariance(
     n = a_d.shape[0]
     p_prior = solve_discrete_are(a_d.T, np.eye(n), q_eff, r)
     p_prior = 0.5 * (p_prior + p_prior.T)
-    k = _solve_innovation(r + p_prior, p_prior).T
-    return _joseph_update(p_prior, k, r)
+    return _update_covariance(p_prior[None], r[None])[2][0]

@@ -19,7 +19,7 @@ this structure; the simulator, the estimators and the metrics read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

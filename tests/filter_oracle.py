@@ -1,8 +1,12 @@
-"""Per-step reference filter: a whole record one ``KalmanEstimator.step``
-at a time.
+"""Reference filters for ``microdse.kalman``.
 
-It is the oracle for ``microdse.kalman.filter_record``, which the local
-and global estimators run; the two must agree to rounding.
+``step_oracle`` runs a whole record one ``KalmanEstimator.step`` at a
+time: the oracle for the state pass of ``filter_record``, which the local
+and global estimators run; the two must agree to rounding.  Since
+``KalmanEstimator`` shares its covariance update with ``gain_schedule``,
+the covariance recursion is checked on its own against
+``covariance_oracle`` and ``riccati_oracle``, written here with plain
+numpy solves.
 """
 
 from __future__ import annotations
@@ -31,3 +35,51 @@ def assert_close(actual, expected, rtol=1e-9):
     scale = max(1.0, float(np.abs(expected[np.isfinite(expected)]).max(initial=0.0)))
     np.testing.assert_array_equal(np.isnan(actual), np.isnan(expected))
     assert np.nanmax(np.abs(actual - expected), initial=0.0) <= rtol * scale
+
+
+def covariance_oracle(a, q, r, p0, steps):
+    """Gains, inverse innovation covariances and posterior covariances of
+    the first ``steps`` updates of the filter (a, q, r) from ``p0``, each
+    stacked (steps, n, n); with H = I, K = P_prior S^-1 and
+    S = R + P_prior."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    p = p0
+    gains, s_invs, posteriors = (np.empty((steps, n, n)) for _ in range(3))
+    for k in range(steps):
+        p_prior = a @ p @ a.T + q
+        s = r + p_prior
+        # S and P_prior are symmetric, so K^T = S^-1 P_prior
+        gain = np.linalg.solve(s, p_prior).T
+        i_k = eye - gain
+        p = i_k @ p_prior @ i_k.T + gain @ r @ gain.T
+        p = 0.5 * (p + p.T)
+        gains[k], s_invs[k], posteriors[k] = gain, np.linalg.solve(s, eye), p
+    return gains, s_invs, posteriors
+
+
+def assert_schedule_matches_oracle(schedule, a, q, r, p0):
+    """The gains, inverse innovation covariances and final posterior of a
+    ``GainSchedule`` against ``covariance_oracle``."""
+    steps = schedule.gains.shape[0]
+    gains, s_invs, posteriors = covariance_oracle(a, q, r, p0, steps)
+    assert_close(schedule.gains, gains)
+    assert_close(schedule.s_inv, s_invs)
+    assert_close(schedule.p, posteriors[-1] if steps else p0)
+
+
+def riccati_oracle(a, q, r, tol=1e-14, iters=500000):
+    """Posterior covariance fixed point, by direct iteration of the
+    prediction/innovation/gain/Joseph equations from R."""
+    n = a.shape[0]
+    p = r.copy()
+    for _ in range(iters):
+        p_prior = a @ p @ a.T + q
+        s = r + p_prior
+        k = p_prior @ np.linalg.inv(s)
+        i_k = np.eye(n) - k
+        p_next = i_k @ p_prior @ i_k.T + k @ r @ k.T
+        if np.abs(p_next - p).max() < tol * max(1.0, np.abs(p_next).max()):
+            return p_next
+        p = p_next
+    raise AssertionError("oracle iteration did not converge")

@@ -439,3 +439,19 @@ def test_event_at_time_zero_fails_estimate_with_a_plain_error(short_config, tmp_
     assert err.startswith("error: ")
     assert "event at 0.0 s: pre-event window holds no samples" in err
     assert not (out / "metrics.json").exists()
+
+
+def test_derived_windows_leave_out_a_window_the_run_has_no_room_for(short_config, tmp_path):
+    # the derived post-event window would start 0.5 s after the event,
+    # at the end of the run: [0.5, 0.5] holds one sample
+    out = tmp_path / "late"
+    common = ("--config", short_config, "--out", out, "--duration", 0.5, "--event-time", 0.25)
+    assert run_cli("simulate", *common) == 0
+    assert run_cli(
+        "estimate", *common,
+        "--truth", out / "truth.csv", "--measurements", out / "measurements.csv",
+    ) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["windows_s"] == [[0.125, 0.25]]
+    for channel in metrics["channels"].values():
+        assert [w["window_s"] for w in channel["windows"]] == [[0.125, 0.25]]

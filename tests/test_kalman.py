@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from filter_oracle import assert_close, step_oracle
+from filter_oracle import (
+    assert_close,
+    assert_schedule_matches_oracle,
+    riccati_oracle,
+    step_oracle,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,22 +184,6 @@ def test_exact_measurements_drive_estimate_to_truth():
     assert np.abs(est.x_hat - x).max() < 1e-6
 
 
-def _riccati_oracle(a, q, r, tol=1e-14, iters=500000):
-    # direct iteration of the prediction/innovation/gain/Joseph equations
-    n = a.shape[0]
-    p = r.copy()
-    for _ in range(iters):
-        p_prior = a @ p @ a.T + q
-        s = r + p_prior
-        k = p_prior @ np.linalg.inv(s)
-        i_k = np.eye(n) - k
-        p_next = i_k @ p_prior @ i_k.T + k @ r @ k.T
-        if np.abs(p_next - p).max() < tol * max(1.0, np.abs(p_next).max()):
-            return p_next
-        p = p_next
-    raise AssertionError("oracle iteration did not converge")
-
-
 def test_covariance_converges_to_riccati_fixed_point():
     disc = dgu_discrete()
     q = np.diag([0.01, 0.01, 0.04, 0.04])
@@ -203,7 +192,7 @@ def test_covariance_converges_to_riccati_fixed_point():
     rng = np.random.default_rng(2)
     for _ in range(3000):
         est.step(rng.standard_normal(4), rng.standard_normal(4))
-    p_star = _riccati_oracle(disc.a_d, q, r)
+    p_star = riccati_oracle(disc.a_d, q, r)
     assert np.abs(est.p - p_star).max() < 1e-9
     assert np.abs(steady_state_covariance(disc.a_d, q, r) - p_star).max() < 1e-9
     # the limit satisfies the fixed-point equation itself
@@ -320,6 +309,40 @@ def test_singular_innovation_covariance_raises():
         est.update(np.array([1.0]))
 
 
+@pytest.mark.parametrize("eps", [1e-14, 1e-12, 5e-12])
+def test_record_and_step_filters_give_one_innovation_verdict(eps):
+    """R = G diag(eps, 3) G^T with G a rotation by 0.3 rad, a condition
+    number of 6e11 to 3e14 around the 1e12 bound: ``filter_record`` and
+    ``KalmanEstimator.step`` must both accept or both reject it, and give
+    the same estimates where they accept."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    r = rot @ np.diag([eps, 3.0]) @ rot.T
+    model = DiscreteLtiModel(np.eye(2), np.array([[1.0], [0.5]]), 1.0, "euler")
+
+    def fresh():
+        return KalmanEstimator(model, q_eff=np.zeros((2, 2)), r=r, p0=np.zeros((2, 2)))
+
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal((20, 2))
+    u = rng.standard_normal((20, 1))
+    outcomes = []
+    for run in (
+        lambda: filter_record([fresh()], z[:, None], u[:, None]),
+        lambda: step_oracle(fresh(), z, u),
+    ):
+        try:
+            outcomes.append(run())
+        except np.linalg.LinAlgError as exc:
+            outcomes.append(str(exc))
+    record, step = outcomes
+    assert isinstance(record, str) == isinstance(step, str) == (eps < 1e-12)
+    if isinstance(record, str):
+        assert record == step and "numerically singular" in record
+    else:
+        assert_close(record[0][0], step[0])
+
+
 def test_update_rejects_wrong_measurement_shape():
     est = scalar_estimator()
     with pytest.raises(ValueError):
@@ -359,7 +382,9 @@ def _compare_with_oracle(seed, n, n_inputs, radius, steps):
     assert_close(nis[1:], nis_ref[1:])
     assert_close(split.x_hat, oracle.x_hat)
     assert_close(split.p, oracle.p)
-    return gain_schedule(*_stack(model.a_d, q, r, p0), steps - 1)[0]
+    schedule = gain_schedule(*_stack(model.a_d, q, r, p0), steps - 1)[0]
+    assert_schedule_matches_oracle(schedule, model.a_d, q, r, p0)
+    return schedule
 
 
 @settings(max_examples=60, deadline=None)
@@ -408,7 +433,10 @@ def _compare_stack_with_oracle(filters, steps, rng):
         alone_x, alone_nis = filter_record([fresh()[i]], z, u, [i])
         np.testing.assert_array_equal(alone_x[0], x_hat[i])
         np.testing.assert_array_equal(alone_nis[0], nis[i])
-    return schedules_of(fresh(), steps - 1)
+    schedules = schedules_of(fresh(), steps - 1)
+    for sched, (model, q, r, p0) in zip(schedules, filters):
+        assert_schedule_matches_oracle(sched, model.a_d, q, r, p0)
+    return schedules
 
 
 @settings(max_examples=30, deadline=None)
@@ -562,7 +590,7 @@ def test_blocked_linear_recursion_stops_each_record_at_its_length():
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), radius=st.floats(0.0, 0.98))
 def test_dare_steady_state_matches_riccati_iteration(seed, n, radius):
     model, q, r, _, _ = _random_filter(seed, n, 1, radius)
-    p_star = _riccati_oracle(model.a_d, q, r)
+    p_star = riccati_oracle(model.a_d, q, r)
     p_dare = steady_state_covariance(model.a_d, q, r)
     assert np.abs(p_dare - p_star).max() <= 1e-9 * max(1.0, np.abs(p_star).max())
 
