@@ -71,7 +71,6 @@ from .sim import (
     SimNoise,
     SimulationDivergedError,
     Trace,
-    VoltageRegulator,
     closed_loop_matrix,
     downsample,
     regulated_equilibrium,

@@ -6,18 +6,17 @@ with a PI law, applies scheduled load-step events, and attaches seeded
 measurement/input noise to the recorded streams.  Same config and seed
 always reproduce bit-identical traces.
 
-While the regulator's clamp is out of play, plant plus regulator is one
-linear system over xi = [plant states, integrators d, q], and
-``_closed_loop`` builds it once: xi_{k+1} = A_cl xi_k + G e_k, with the
-droop-shifted reference and the loads as exogenous inputs e_k and the
-process noise added on the plant rows.  ``run_plant`` runs that
-recursion over the record in segments of blocks
-(``kalman._linear_recursion``) and reads the raw regulator output of a
-segment's samples off xi with one product.
-From the first sample where that output reaches the clamp it steps the
-rest of the record per sample through ``VoltageRegulator.step``, the one
-home of the clip and the conditional anti-windup.  ``closed_loop_matrix``
-returns A_cl for the stability check.
+Plant plus PI regulator is one linear system over xi = [plant states,
+integrators d, q], and ``_closed_loop`` builds it once, the one home of
+the regulator law: xi_{k+1} = A_cl xi_k + G e_k, with the droop-shifted
+reference and the loads as exogenous inputs e_k and the process noise
+added on the plant rows, and the raw regulator output read off xi by
+``_raw_output``.  ``run_plant`` runs that recursion over the record in
+segments of blocks (``kalman._linear_recursion``).  From the first
+sample where the raw output reaches the clamp it steps the rest of the
+record per sample through the same matrices, with the clip and the
+conditional anti-windup applied on top (``_step_saturated``).
+``closed_loop_matrix`` returns A_cl for the stability check.
 """
 
 from __future__ import annotations
@@ -57,6 +56,9 @@ class LoadStep:
             raise ValueError("event time must be finite and non-negative")
         if self.bus < 1:
             raise ValueError("bus indices are 1-based")
+        for name in ("delta_d", "delta_q"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"load step {name} must be finite, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -87,57 +89,22 @@ class RegulatorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "reference", np.asarray(self.reference, dtype=float))
-        if self.kp <= 0.0 or self.ki <= 0.0:
-            raise ValueError("kp and ki must be strictly positive")
-        if self.virtual_resistance < 0.0 or self.droop < 0.0:
-            raise ValueError("virtual_resistance and droop must be non-negative")
-        if self.v_max_scale <= 1.0:
+        # chained comparisons are false for NaN
+        for name in ("kp", "ki"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(
+                    f"{name} must be finite and strictly positive, got {getattr(self, name)!r}"
+                )
+        for name in ("virtual_resistance", "droop"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {getattr(self, name)!r}"
+                )
+        if not self.v_max_scale > 1.0:
             raise ValueError("v_max_scale must exceed 1")
-        if self.reference.ndim != 1 or (self.reference <= 0.0).any():
-            raise ValueError("reference must be a 1-D array of positive voltages")
-
-
-class VoltageRegulator:
-    """Discrete PI regulator holding each bus at (reference, 0) in dq.
-
-    A virtual-resistance term on the filter current damps the otherwise
-    nearly undamped LC resonance, and an optional droop term lowers the
-    d-axis reference in proportion to the bus output current so that load
-    changes shift the steady-state line flows.  Outputs clamp at
-    ``v_max_scale`` times the base reference with conditional anti-windup.
-    """
-
-    def __init__(self, config: RegulatorConfig, dt: float, n_units: int):
-        if config.reference.shape != (n_units,):
-            raise ValueError(
-                f"reference must have one entry per unit ({n_units}), "
-                f"got shape {config.reference.shape}"
-            )
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
-        self.config = config
-        self.dt = dt
-        self.integ_d = np.zeros(n_units)
-        self.integ_q = np.zeros(n_units)
-
-    def step(self, v_d, v_q, i_td, i_tq, i_od=None):
-        """One control update from the current bus state; returns (v_td, v_tq)."""
-        cfg = self.config
-        ref = cfg.reference
-        if i_od is not None and cfg.droop != 0.0:
-            ref = ref - cfg.droop * np.asarray(i_od)
-        e_d = ref - v_d
-        e_q = -np.asarray(v_q)
-        raw_d = ref + cfg.kp * e_d + cfg.ki * self.integ_d - cfg.virtual_resistance * i_td
-        raw_q = cfg.kp * e_q + cfg.ki * self.integ_q - cfg.virtual_resistance * i_tq
-        vmax = cfg.v_max_scale * cfg.reference
-        out_d = np.clip(raw_d, -vmax, vmax)
-        out_q = np.clip(raw_q, -vmax, vmax)
-        hold_d = ((raw_d > vmax) & (e_d > 0)) | ((raw_d < -vmax) & (e_d < 0))
-        hold_q = ((raw_q > vmax) & (e_q > 0)) | ((raw_q < -vmax) & (e_q < 0))
-        self.integ_d = self.integ_d + self.dt * np.where(hold_d, 0.0, e_d)
-        self.integ_q = self.integ_q + self.dt * np.where(hold_q, 0.0, e_q)
-        return out_d, out_q
+        ref = self.reference
+        if ref.ndim != 1 or not (np.isfinite(ref) & (ref > 0.0)).all():
+            raise ValueError("reference must be a 1-D array of finite positive voltages")
 
 
 @dataclass(frozen=True)
@@ -193,6 +160,8 @@ class SimConfig:
             raise ValueError("duration must cover the latest scheduled event")
         if self.initial_loads.shape != (nb, 2):
             raise ValueError(f"initial_loads must have shape ({nb}, 2)")
+        if not np.isfinite(self.initial_loads).all():
+            raise ValueError("initial_loads must be finite")
         for ev in self.events.steps:
             if ev.bus > nb:
                 raise ValueError(f"event bus {ev.bus} outside 1..{nb}")
@@ -206,6 +175,8 @@ class SimConfig:
             vt = np.zeros((nb, 2)) if vt is None else np.asarray(vt, dtype=float)
             if vt.shape != (nb, 2):
                 raise ValueError(f"fixed_terminal_voltage must have shape ({nb}, 2)")
+            if not np.isfinite(vt).all():
+                raise ValueError("fixed_terminal_voltage must be finite")
             object.__setattr__(self, "fixed_terminal_voltage", vt)
 
     @property
@@ -343,9 +314,8 @@ class _Loop(NamedTuple):
     d and q integrators.  ``e_k`` stacks sample k's exogenous inputs: the
     droop-shifted d reference per bus under a controller (the fixed
     terminal voltages [d..., q...] without one), then the loads [d, q
-    interleaved per bus].  Under a controller ``r xi_k`` plus
-    ``(1 + kp)`` times the reference on the d rows is the regulator output
-    [v_td...; v_tq...] before its clamp; without one ``r`` is None.
+    interleaved per bus].  Under a controller ``r`` gives the regulator
+    output before its clamp (``_raw_output``); without one it is None.
     """
 
     model: ContinuousLtiModel
@@ -356,8 +326,9 @@ class _Loop(NamedTuple):
 
 
 def _closed_loop(cfg: SimConfig) -> _Loop:
-    """Plant plus PI regulator in the linear regime (clamp and anti-windup
-    ignored), from one exact discretization of the coupled plant."""
+    """Plant plus PI regulator, from one exact discretization of the
+    coupled plant: the regulator law while its output is inside the
+    clamp, and the base that ``_step_saturated`` clips."""
     topo = cfg.topology
     nb = topo.n_buses
     model = build_coupled_plant(topo)
@@ -394,6 +365,16 @@ def _closed_loop(cfg: SimConfig) -> _Loop:
     r[nb:, :n] = vx_q
     r[nb:, n + nb :] = ctl.ki * np.eye(nb)
     return _Loop(model, disc, a, g, r)
+
+
+def _raw_output(loop: _Loop, ctl: RegulatorConfig, xi: np.ndarray, ref: np.ndarray):
+    """Regulator output [v_td...; v_tq...] before its clamp, for closed-loop
+    states ``xi`` (one, or one per row) and their droop-shifted d
+    references ``ref``: ``r xi`` plus ``(1 + kp)`` times the reference on
+    the d rows."""
+    v_t = xi @ loop.r.T
+    v_t[..., : ref.shape[-1]] += (1.0 + ctl.kp) * ref
+    return v_t
 
 
 def closed_loop_matrix(cfg: SimConfig) -> np.ndarray:
@@ -440,37 +421,36 @@ def _first(mask: np.ndarray) -> int:
 _SEGMENT_VALUES = 2**18
 
 
-def _step_saturated(cfg, loop, k0, xi0, x_true, u_true, loads, guard, t) -> None:
+def _step_saturated(cfg, loop, k0, xi, exo, x_true, u_true, guard, t) -> None:
     """Step the record from sample ``k0``, whose closed-loop state is
-    ``xi0``, one sample at a time through the clamping regulator.  Row
-    k + 1 of ``x_true`` holds step k's process noise until it is
-    overwritten with the state."""
+    ``xi``, one sample at a time through the closed-loop matrices with
+    the clamp applied: the plant gets the clipped output, through the
+    correction ``B_vt (out - raw)``, and an integrator whose output is
+    clipped keeps its value while its step pushes the output further out
+    (conditional anti-windup).  Row k + 1 of ``x_true`` holds step k's
+    process noise until it is overwritten with the state."""
+    ctl = cfg.controller
     nb = cfg.topology.n_buses
     n = loop.model.n_states
     steps = x_true.shape[0] - 1
-    regulator = VoltageRegulator(cfg.controller, cfg.plant_step_s, nb)
-    regulator.integ_d = xi0[n : n + nb].copy()
-    regulator.integ_q = xi0[n + nb :].copy()
-    idx_vd, idx_vq, idx_itd, idx_itq = _bus_index_arrays(nb)
-    iod_map = _output_current_map(cfg.topology)[0::2]
-    a_d, b_d = loop.disc.a_d, loop.disc.b_d
-    u_plant = np.empty(4 * nb)
-    x = xi0[:n]
+    vmax = np.tile(ctl.v_max_scale * ctl.reference, 2)
+    b_vt = loop.disc.b_d[:, np.r_[0 : 2 * nb : 2, 1 : 2 * nb : 2]]
     for k in range(k0, steps + 1):
-        vtd, vtq = regulator.step(
-            x[idx_vd], x[idx_vq], x[idx_itd], x[idx_itq], iod_map @ x + loads[k, 0::2]
-        )
-        u_true[k, 0::4] = vtd
-        u_true[k, 1::4] = vtq
+        raw = _raw_output(loop, ctl, xi, exo[k, :nb])
+        out = np.clip(raw, -vmax, vmax)
+        u_true[k, 0::4] = out[:nb]
+        u_true[k, 1::4] = out[nb:]
         if k == steps:
             break
-        u_plant[0 : 2 * nb : 2] = vtd
-        u_plant[1 : 2 * nb : 2] = vtq
-        u_plant[2 * nb :] = loads[k]
-        x = a_d @ x + b_d @ u_plant + x_true[k + 1]
-        if not (np.abs(x) <= guard).all():
+        nxt = loop.a @ xi + loop.g @ exo[k]
+        nxt[:n] += x_true[k + 1] + b_vt @ (out - raw)
+        push = nxt[n:] - xi[n:]
+        hold = ((raw > vmax) & (push > 0)) | ((raw < -vmax) & (push < 0))
+        nxt[n:][hold] = xi[n:][hold]
+        if not (np.abs(nxt[:n]) <= guard).all():
             raise _diverged(t[k + 1], guard)
-        x_true[k + 1] = x
+        x_true[k + 1] = nxt[:n]
+        xi = nxt
 
 
 def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -542,8 +522,7 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
         ``xi``; returns how many of them stay inside the clamp."""
         if ctl is None:
             return xi.shape[0]
-        v_t = xi @ loop.r.T
-        v_t[:, :nb] += (1.0 + ctl.kp) * exo[k : k + xi.shape[0], :nb]
+        v_t = _raw_output(loop, ctl, xi, exo[k : k + xi.shape[0], :nb])
         u_true[k : k + xi.shape[0], 0::4] = v_t[:, :nb]
         u_true[k : k + xi.shape[0], 1::4] = v_t[:, nb:]
         return _first((np.abs(v_t) > vmax).any(axis=1))
@@ -579,7 +558,7 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
             buf[0] = xi[-1]
         a += rows
     if saturated is not None:
-        _step_saturated(cfg, loop, saturated, buf[0], x_true, u_true, loads, guard, t)
+        _step_saturated(cfg, loop, saturated, buf[0], exo, x_true, u_true, guard, t)
 
     io = x_true @ _output_current_map(topo).T + loads
     u_true[:, 2::4] = io[:, 0::2]
@@ -590,10 +569,11 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
 def run_plant(cfg: SimConfig) -> Trace:
     """Simulate the configured scenario; deterministic given the seed.
 
-    The plant, with its regulator in the linear regime, runs as one linear
-    recursion over the whole record.  From the first sample where the
-    regulator output reaches its clamp, the rest of the record is stepped
-    sample by sample through ``VoltageRegulator.step``.  A state beyond
+    The plant with its regulator runs as one linear recursion over the
+    whole record.  From the first sample where the regulator output
+    reaches its clamp, the rest of the record is stepped sample by sample
+    through the same closed-loop matrices, with the clip and the
+    conditional anti-windup applied on top.  A state beyond
     1e6 x nominal (or not finite) raises ``SimulationDivergedError`` naming
     its time.
 

@@ -2,9 +2,12 @@
 
 Each sample evaluates the plant matvec, ``VoltageRegulator.step``, the
 output-current map and the divergence guard in turn.  It is the oracle
-for the closed-loop linear pass in ``microdse.sim.run_plant``; the two
-must agree to rounding, draw the same noise in the same order and stop
-at the same sample.
+for ``microdse.sim.run_plant``, whose regulator law lives only in the
+closed-loop matrices of ``sim._closed_loop``: ``VoltageRegulator`` writes
+the same law, clip and conditional anti-windup per sample from the bus
+quantities, independently of those matrices.  The two simulators must
+agree to rounding, draw the same noise in the same order and stop at the
+same sample.
 """
 
 from __future__ import annotations
@@ -14,16 +17,59 @@ import numpy as np
 from microdse.discretize import discretize_exact
 from microdse.models import build_coupled_plant, dgu_input_labels
 from microdse.sim import (
+    RegulatorConfig,
     SimConfig,
     SimulationDivergedError,
     Trace,
-    VoltageRegulator,
     _bus_index_arrays,
     _covariance_factor,
     _output_current_map,
     closed_loop_matrix,
     regulated_equilibrium,
 )
+
+
+class VoltageRegulator:
+    """Discrete PI regulator holding each bus at (reference, 0) in dq.
+
+    A virtual-resistance term on the filter current damps the otherwise
+    nearly undamped LC resonance, and an optional droop term lowers the
+    d-axis reference in proportion to the bus output current so that load
+    changes shift the steady-state line flows.  Outputs clamp at
+    ``v_max_scale`` times the base reference with conditional anti-windup.
+    """
+
+    def __init__(self, config: RegulatorConfig, dt: float, n_units: int):
+        if config.reference.shape != (n_units,):
+            raise ValueError(
+                f"reference must have one entry per unit ({n_units}), "
+                f"got shape {config.reference.shape}"
+            )
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        self.config = config
+        self.dt = dt
+        self.integ_d = np.zeros(n_units)
+        self.integ_q = np.zeros(n_units)
+
+    def step(self, v_d, v_q, i_td, i_tq, i_od=None):
+        """One control update from the current bus state; returns (v_td, v_tq)."""
+        cfg = self.config
+        ref = cfg.reference
+        if i_od is not None and cfg.droop != 0.0:
+            ref = ref - cfg.droop * np.asarray(i_od)
+        e_d = ref - v_d
+        e_q = -np.asarray(v_q)
+        raw_d = ref + cfg.kp * e_d + cfg.ki * self.integ_d - cfg.virtual_resistance * i_td
+        raw_q = cfg.kp * e_q + cfg.ki * self.integ_q - cfg.virtual_resistance * i_tq
+        vmax = cfg.v_max_scale * cfg.reference
+        out_d = np.clip(raw_d, -vmax, vmax)
+        out_q = np.clip(raw_q, -vmax, vmax)
+        hold_d = ((raw_d > vmax) & (e_d > 0)) | ((raw_d < -vmax) & (e_d < 0))
+        hold_q = ((raw_q > vmax) & (e_q > 0)) | ((raw_q < -vmax) & (e_q < 0))
+        self.integ_d = self.integ_d + self.dt * np.where(hold_d, 0.0, e_d)
+        self.integ_q = self.integ_q + self.dt * np.where(hold_q, 0.0, e_q)
+        return out_d, out_q
 
 
 def run_plant_loop(cfg: SimConfig) -> Trace:

@@ -56,6 +56,28 @@ def test_invalid_electrical_parameter_names_field(tmp_path, capsys):
     assert "l_henry" in err
 
 
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda sim: sim["controller"].update(kp=math.nan), "kp"),
+        (lambda sim: sim["controller"].update(ki_per_s=math.inf), "ki"),
+        (lambda sim: sim["loads"]["initial_amps"][1].__setitem__(0, math.nan), "initial_loads"),
+        (lambda sim: sim["loads"]["events"][0].update(delta_d_amps=math.nan), "delta_d"),
+    ],
+    ids=["kp", "ki", "initial_amps", "delta_d_amps"],
+)
+def test_non_finite_setting_exits_with_validation_code(tmp_path, capsys, edit, field):
+    raw = m.bundled_config_dict()
+    raw["simulation"]["duration_s"] = 0.2
+    raw["simulation"]["loads"]["events"][0]["time_s"] = 0.1
+    edit(raw["simulation"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))  # NaN and Infinity as Python's json writes them
+    assert run_cli("simulate", "--config", path, "--out", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be finite" in err
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     raw = m.bundled_config_dict()
     raw["simulation"]["typo_key"] = 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sim_oracle import run_plant_loop
+from sim_oracle import VoltageRegulator, run_plant_loop
 from structure_oracle import (
     coupled_plant_loop,
     global_input_covariance_loop,
@@ -21,7 +21,6 @@ from microdse import (
     SimConfig,
     SimNoise,
     SimulationDivergedError,
-    VoltageRegulator,
     build_coupled_plant,
     closed_loop_matrix,
     discretize_exact,
@@ -31,7 +30,7 @@ from microdse import (
 )
 from microdse.estimation import global_input_covariance
 from microdse.models import DguParams, LineParams, MicrogridTopology, build_dgu_model
-from microdse.sim import _bus_index_arrays, _closed_loop, _output_current_map
+from microdse.sim import _bus_index_arrays, _closed_loop, _output_current_map, _raw_output
 
 LOADS = np.array([[150.0, 30.0], [220.0, 40.0], [180.0, 35.0]])
 
@@ -146,7 +145,8 @@ def test_regulator_steady_when_error_is_zero():
 
 def test_regulator_settles_after_reference_step(reference_topology):
     # regression for the tuned gains: a 10% reference step on bus 1 settles
-    # well inside the 0.5 s budget (2% band)
+    # well inside the 0.5 s budget (2% band), in the production closed
+    # loop started from the equilibrium of the old reference
     dt = 1e-4
     base_ref = 11267.652 * np.ones(3)
     gains0 = RegulatorConfig(
@@ -156,25 +156,21 @@ def test_regulator_settles_after_reference_step(reference_topology):
     gains1 = dataclasses.replace(
         gains0, reference=base_ref * np.array([1.10, 1.0, 1.0])
     )
-    disc = discretize_exact(build_coupled_plant(reference_topology), dt)
-    reg = VoltageRegulator(gains1, dt, 3)
-    reg.integ_d[:] = integ_d
-    reg.integ_q[:] = integ_q
-    io_map = _output_current_map(reference_topology)
-    ivd, ivq, iitd, iitq = _bus_index_arrays(3)
-    lvec = LOADS.reshape(-1)
+    cfg = SimConfig(
+        topology=reference_topology, duration_s=0.5, plant_step_s=dt, seed=0,
+        initial_loads=LOADS, controller=gains1,
+    )
+    loop = _closed_loop(cfg)
+    e = np.concatenate([gains1.reference, LOADS.reshape(-1)])  # no droop
     steps = 5000
-    vd1 = np.empty(steps + 1)
-    vd1[0] = x[0]
-    u = np.empty(12)
+    xi = np.empty((steps + 1, loop.a.shape[0]))
+    xi[0] = np.concatenate([x, integ_d, integ_q])
     for k in range(steps):
-        io = io_map @ x + lvec
-        vtd, vtq = reg.step(x[ivd], x[ivq], x[iitd], x[iitq], io[0::2])
-        u[0:6:2] = vtd
-        u[1:6:2] = vtq
-        u[6:] = lvec
-        x = disc.a_d @ x + disc.b_d @ u
-        vd1[k + 1] = x[0]
+        xi[k + 1] = loop.a @ xi[k] + loop.g @ e
+    # the clamp stays out of play, so the linear loop is the whole law
+    vmax = np.tile(gains1.v_max_scale * gains1.reference, 2)
+    assert (np.abs(_raw_output(loop, gains1, xi, gains1.reference)) < vmax).all()
+    vd1 = xi[:, 0]
     target = gains1.reference[0]
     outside = np.abs(vd1 - target) > 0.02 * target
     settle = (np.flatnonzero(outside)[-1] + 1) * dt if outside.any() else 0.0
@@ -277,10 +273,13 @@ def test_non_finite_state_trips_the_guard(
     reference_scenario, reference_topology, monkeypatch, regulated, segment_values
 ):
     # a NaN load from t = 0.01 s makes the state NaN one step later, in
-    # the second segment when a segment holds one block
+    # the second segment when a segment holds one block; LoadStep rejects
+    # a NaN delta, so it is set past that check
     if segment_values is not None:
         monkeypatch.setattr(m.sim, "_SEGMENT_VALUES", segment_values)
-    events = EventSchedule((LoadStep(0.01, 2, float("nan"), 0.0),))
+    step = LoadStep(0.01, 2, 0.0, 0.0)
+    object.__setattr__(step, "delta_d", float("nan"))
+    events = EventSchedule((step,))
     if regulated:
         cfg = dataclasses.replace(reference_scenario.sim, duration_s=0.05, events=events)
     else:
@@ -303,6 +302,31 @@ def test_config_validation():
         open_loop_config(topo, start="warm")
     with pytest.raises(ValueError, match="increasing"):
         EventSchedule((LoadStep(1.0, 1, 1.0, 0.0), LoadStep(1.0, 1, 1.0, 0.0)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["kp", "ki", "virtual_resistance", "droop", "reference"])
+def test_non_finite_regulator_setting_is_rejected_naming_it(reference_scenario, field, bad):
+    ctl = reference_scenario.sim.controller
+    value = np.where([False, True, False], bad, ctl.reference) if field == "reference" else bad
+    with pytest.raises(ValueError, match=f"^{field} must be .*finite"):
+        dataclasses.replace(ctl, **{field: value})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_loads_and_voltages_are_rejected_naming_them(reference_topology, bad):
+    with pytest.raises(ValueError, match="delta_d must be finite"):
+        LoadStep(0.1, 1, bad, 0.0)
+    with pytest.raises(ValueError, match="delta_q must be finite"):
+        LoadStep(0.1, 1, 0.0, bad)
+    loads = LOADS.copy()
+    loads[1, 0] = bad
+    with pytest.raises(ValueError, match="initial_loads must be finite"):
+        open_loop_config(reference_topology, loads=loads)
+    vt = np.array([[11000.0, 150.0]] * 3)
+    vt[2, 1] = bad
+    with pytest.raises(ValueError, match="fixed_terminal_voltage must be finite"):
+        open_loop_config(reference_topology, vt=vt)
 
 
 TRACE_FIELDS = ("x_true", "z_state", "u_true", "u_meas")
@@ -412,14 +436,17 @@ def random_grids(draw, min_buses=2, max_buses=6, max_chords=3):
 @given(
     grid=random_grids(),
     seed=st.integers(0, 2**31 - 1),
-    start=st.sampled_from(["equilibrium", "zero"]),
+    # (start, clamp): from zero a clamp at 1.02 x reference engages at once
+    regime=st.sampled_from([("equilibrium", 2.0), ("zero", 2.0), ("zero", 1.02)]),
     steps=st.integers(1, 400),
 )
-def test_linear_pass_matches_loop_on_random_grids(reference_scenario, grid, seed, start, steps):
+def test_linear_pass_matches_loop_on_random_grids(reference_scenario, grid, seed, regime, steps):
     topology, loads = grid
     nb = topology.n_buses
+    start, clamp = regime
     controller = dataclasses.replace(
-        reference_scenario.sim.controller, droop=0.1, reference=np.full(nb, 11267.652)
+        reference_scenario.sim.controller, droop=0.1, reference=np.full(nb, 11267.652),
+        v_max_scale=clamp,
     )
     cfg = SimConfig(
         topology=topology,
@@ -433,14 +460,17 @@ def test_linear_pass_matches_loop_on_random_grids(reference_scenario, grid, seed
         start=start,
     )
     assume(np.abs(np.linalg.eigvals(closed_loop_matrix(cfg))).max() < 1.0)
-    assert_matches_loop_oracle(cfg)
+    trace = assert_matches_loop_oracle(cfg)
+    if clamp < 2.0:
+        assert clamped_samples(cfg, trace).size
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1))
 @example(seed=100874)  # bus 1's v_tq is -2.2 mV, a sum of ~70 V terms
 def test_closed_loop_builder_is_the_regulator_law(reference_scenario, seed):
-    # in the linear regime one builder row block is one VoltageRegulator.step
+    # in the linear regime one builder row block is one step of the
+    # oracle's per-sample VoltageRegulator
     sim = reference_scenario.sim
     ctl = sim.controller
     nb, n = 3, 18
@@ -452,8 +482,7 @@ def test_closed_loop_builder_is_the_regulator_law(reference_scenario, seed):
     loop = _closed_loop(sim)
     xi = np.concatenate([x, integ])
     ref = ctl.reference - ctl.droop * loads[0::2]
-    raw = loop.r @ xi
-    raw[:nb] += (1.0 + ctl.kp) * ref
+    raw = _raw_output(loop, ctl, xi, ref)
     integ_next = loop.a[n:] @ xi + loop.g[n:] @ np.concatenate([ref, loads])
 
     reg = VoltageRegulator(ctl, sim.plant_step_s, nb)
@@ -533,3 +562,25 @@ def test_structure_matches_the_per_line_oracle(grid, seed):
         global_input_covariance(topology, posteriors),
         global_input_covariance_loop(topology, posteriors),
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=random_grids(1, 12, max_chords=6), droop=st.floats(0.0, 1.0))
+def test_regulated_equilibrium_is_the_closed_loop_fixed_point(reference_scenario, grid, droop):
+    topology, loads = grid
+    nb = topology.n_buses
+    ctl = dataclasses.replace(
+        reference_scenario.sim.controller, droop=droop, reference=np.full(nb, 11267.652)
+    )
+    cfg = SimConfig(
+        topology=topology, duration_s=1e-4, plant_step_s=1e-4, seed=0,
+        initial_loads=loads, controller=ctl,
+    )
+    x, integ_d, integ_q, v_t = regulated_equilibrium(topology, ctl, loads)
+    xi = np.concatenate([x, integ_d, integ_q])
+    loop = _closed_loop(cfg)
+    ref = ctl.reference - ctl.droop * loads[:, 0]
+    step = loop.a @ xi + loop.g @ np.concatenate([ref, loads.reshape(-1)]) - xi
+    assert np.abs(step).max() <= 1e-9 * np.abs(xi).max()
+    raw = _raw_output(loop, ctl, xi, ref)
+    assert np.abs(raw - v_t.T.reshape(-1)).max() <= 1e-12 * np.abs(v_t).max()
