@@ -17,7 +17,7 @@ from . import config as cfgmod
 from .config import ConfigError, ScenarioConfig
 from .models import build_coupled_plant, input_record_labels
 from .pipeline import compute_metrics, estimate_scenario, simulate_scenario
-from .sim import SimulationDivergedError, Trace
+from .sim import SimulationDivergedError, Trace, sample_times
 from .traceio import read_csv, write_csv
 
 EXIT_OK = 0
@@ -121,6 +121,14 @@ def _read_trace(scn: ScenarioConfig, truth_path: Path, meas_path: Path) -> Trace
         raise ConfigError("truth and measurement traces are not time-aligned")
     if t.shape[0] < 2:
         raise ConfigError("traces need at least two samples")
+    step = scn.sim.plant_step_s
+    off_grid = np.flatnonzero(t != sample_times(t.shape[0], step))
+    if off_grid.size:
+        k = int(off_grid[0])
+        raise ConfigError(
+            f"{truth_path}: line {k + 2} has t={float(t[k])!r} s, off the scenario's "
+            f"grid of {step!r} s steps"
+        )
     model = build_coupled_plant(scn.sim.topology)
     state_labels = model.state_labels
     input_labels = input_record_labels(scn.sim.topology.n_buses)
@@ -135,7 +143,7 @@ def _read_trace(scn: ScenarioConfig, truth_path: Path, meas_path: Path) -> Trace
     u_meas = np.column_stack([meas_cols[lab] for lab in input_labels])
     return Trace(
         t=t,
-        t_step_s=float(t[1] - t[0]),
+        t_step_s=step,
         x_true=x_true,
         z_state=z_state,
         u_true=u_true,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -25,6 +26,18 @@ from .sim import EventSchedule, LoadStep, RegulatorConfig, SimConfig, SimNoise
 
 class ConfigError(ValueError):
     """Configuration that fails to parse or validate."""
+
+
+@contextmanager
+def _section(name: str):
+    """Raise a ``ValueError`` of the settings built in the block as a
+    ``ConfigError`` that names their JSON section."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"invalid {name}: {exc}") from exc
 
 
 def _data_text(name: str) -> str:
@@ -92,8 +105,7 @@ class EstimationSettings:
     global_rate_hz: float
     method: str
     local_noise: NoiseSpec
-    global_process_std: np.ndarray  # per-line [d, q] std
-    global_measurement_std: np.ndarray
+    global_noise: NoiseSpec  # per-line [d, q]
     metrics: MetricsSettings
 
 
@@ -102,8 +114,6 @@ class ScenarioConfig:
     name: str
     sim: SimConfig
     estimation: EstimationSettings
-    output_dir: str
-    raw: dict
 
 
 def apply_overrides(raw: dict, overrides: dict) -> dict:
@@ -155,34 +165,28 @@ def _topology(raw: dict) -> MicrogridTopology:
         raise ConfigError(
             f"topology.dgus must cover buses 1..{len(buses)} exactly, got {buses}"
         )
-    dgus = tuple(
-        DguParams(r_t=d["r_ohm"], l_t=d["l_henry"], c_t=d["c_farad"]) for d in dgus_raw
-    )
-    lines = tuple(
-        LineParams(
-            from_bus=ln["from_bus"], to_bus=ln["to_bus"], r=ln["r_ohm"], l=ln["l_henry"]
+    with _section("topology"):
+        dgus = tuple(
+            DguParams(r_t=d["r_ohm"], l_t=d["l_henry"], c_t=d["c_farad"]) for d in dgus_raw
         )
-        for ln in t["lines"]
-    )
-    omega = 2.0 * math.pi * t["frequency_hz"]
-    try:
-        return MicrogridTopology(
-            n_buses=len(buses), dgus=dgus, lines=lines, omega=omega
+        lines = tuple(
+            LineParams(
+                from_bus=ln["from_bus"], to_bus=ln["to_bus"], r=ln["r_ohm"], l=ln["l_henry"]
+            )
+            for ln in t["lines"]
         )
-    except ValueError as exc:
-        raise ConfigError(f"invalid topology: {exc}") from exc
+        omega = 2.0 * math.pi * t["frequency_hz"]
+        return MicrogridTopology(n_buses=len(buses), dgus=dgus, lines=lines, omega=omega)
 
 
-def _noise_spec4(section: dict) -> NoiseSpec:
-    return NoiseSpec.from_std(
-        section["process_std"], section["measurement_std"], section["input_std"]
-    )
-
-
-def _noise_spec2(section: dict) -> NoiseSpec:
-    return NoiseSpec.from_std(
-        section["process_std"], section["measurement_std"], [0.0, 0.0]
-    )
+def _noise_spec(section: dict, name: str) -> NoiseSpec:
+    """The noise of the JSON section ``name``; a line section has no inputs."""
+    with _section(name):
+        return NoiseSpec.from_std(
+            section["process_std"],
+            section["measurement_std"],
+            section.get("input_std", [0.0, 0.0]),
+        )
 
 
 def reference_amplitude(v_ll_rms: float) -> float:
@@ -202,32 +206,31 @@ def load_scenario_dict(raw: dict) -> ScenarioConfig:
         raise ConfigError(
             f"simulation.controller.reference_scale must list {nb} entries"
         )
-    controller = RegulatorConfig(
-        kp=s["controller"]["kp"],
-        ki=s["controller"]["ki_per_s"],
-        virtual_resistance=s["controller"]["virtual_resistance_ohm"],
-        droop=s["controller"]["droop_v_per_a"],
-        reference=reference_amplitude(s["nominal_voltage_ll_rms"]) * scale,
-    )
+    with _section("simulation.controller"):
+        controller = RegulatorConfig(
+            kp=s["controller"]["kp"],
+            ki=s["controller"]["ki_per_s"],
+            virtual_resistance=s["controller"]["virtual_resistance_ohm"],
+            droop=s["controller"]["droop_v_per_a"],
+            reference=reference_amplitude(s["nominal_voltage_ll_rms"]) * scale,
+        )
 
     initial = np.asarray(s["loads"]["initial_amps"], dtype=float)
     if initial.shape != (nb, 2):
         raise ConfigError(f"simulation.loads.initial_amps must be {nb} [d, q] pairs")
-    events = EventSchedule(
-        tuple(
-            LoadStep(
-                time_s=e["time_s"],
-                bus=e["bus"],
-                delta_d=e["delta_d_amps"],
-                delta_q=e["delta_q_amps"],
+    with _section("simulation.loads.events"):
+        events = EventSchedule(
+            tuple(
+                LoadStep(
+                    time_s=e["time_s"],
+                    bus=e["bus"],
+                    delta_d=e["delta_d_amps"],
+                    delta_q=e["delta_q_amps"],
+                )
+                for e in s["loads"]["events"]
             )
-            for e in s["loads"]["events"]
         )
-    )
-    noise = SimNoise(
-        dgu=_noise_spec4(s["noise"]["dgu"]), line=_noise_spec2(s["noise"]["line"])
-    )
-    try:
+    with _section("simulation"):
         sim = SimConfig(
             topology=topology,
             duration_s=s["duration_s"],
@@ -235,12 +238,13 @@ def load_scenario_dict(raw: dict) -> ScenarioConfig:
             seed=s["seed"],
             initial_loads=initial,
             events=events,
-            noise=noise,
+            noise=SimNoise(
+                dgu=_noise_spec(s["noise"]["dgu"], "simulation.noise.dgu"),
+                line=_noise_spec(s["noise"]["line"], "simulation.noise.line"),
+            ),
             controller=controller,
             start=s.get("start", "equilibrium"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"invalid simulation settings: {exc}") from exc
 
     e = raw["estimation"]
     plant_rate = 1.0 / sim.plant_step_s
@@ -251,15 +255,13 @@ def load_scenario_dict(raw: dict) -> ScenarioConfig:
         (local_rate, global_rate, "estimation.local_rate_hz by estimation.global_rate_hz"),
     ):
         k = num / den
-        if k < 1 - 1e-9 or abs(k - round(k)) > 1e-9 * max(1.0, k):
+        if not math.isfinite(k) or k < 1 - 1e-9 or abs(k - round(k)) > 1e-9 * max(1.0, k):
             raise ConfigError(f"{what} must divide evenly, got ratio {k!r}")
-    local_noise = _noise_spec4(e["local_noise"])
-    if (np.diag(local_noise.r) <= 0.0).any():
-        raise ConfigError("estimation.local_noise.measurement_std must be positive")
-    gp = np.asarray(e["global_noise"]["process_std"], dtype=float)
-    gm = np.asarray(e["global_noise"]["measurement_std"], dtype=float)
-    if (gm <= 0.0).any():
-        raise ConfigError("estimation.global_noise.measurement_std must be positive")
+    local_noise = _noise_spec(e["local_noise"], "estimation.local_noise")
+    global_noise = _noise_spec(e["global_noise"], "estimation.global_noise")
+    for name, spec in (("local_noise", local_noise), ("global_noise", global_noise)):
+        if (np.diag(spec.r) <= 0.0).any():
+            raise ConfigError(f"estimation.{name}.measurement_std must be positive")
     m = e.get("metrics", {})
     windows = m.get("windows_s")
     metrics = MetricsSettings(
@@ -273,17 +275,10 @@ def load_scenario_dict(raw: dict) -> ScenarioConfig:
         global_rate_hz=global_rate,
         method=e["discretization"],
         local_noise=local_noise,
-        global_process_std=gp,
-        global_measurement_std=gm,
+        global_noise=global_noise,
         metrics=metrics,
     )
-    return ScenarioConfig(
-        name=raw.get("name", "scenario"),
-        sim=sim,
-        estimation=est,
-        output_dir=raw.get("output", {}).get("directory", "out"),
-        raw=raw,
-    )
+    return ScenarioConfig(name=raw.get("name", "scenario"), sim=sim, estimation=est)
 
 
 def load_scenario(path: str | Path, overrides: dict | None = None) -> ScenarioConfig:

@@ -107,12 +107,14 @@ def build_local_estimator(
     method: str = "exact",
 ) -> LocalEstimator:
     """Local estimator for one bus; its process noise is corrected for the
-    configured input-measurement covariance."""
+    configured input-measurement covariance ``noise.m``."""
     if not 1 <= bus <= topology.n_buses:
         raise ValueError(f"bus {bus} outside 1..{topology.n_buses}")
     model = build_dgu_model(topology.dgus[bus - 1], topology.omega, bus=bus)
     disc = _discretize(model, 1.0 / rate_hz, method)
-    return LocalEstimator(bus=bus, kf=KalmanEstimator(disc, noise=noise), rate_hz=rate_hz)
+    q_eff = effective_process_noise(noise.q, disc.b_d, noise.m)
+    kf = KalmanEstimator(disc, q_eff=q_eff, r=noise.r)
+    return LocalEstimator(bus=bus, kf=kf, rate_hz=rate_hz)
 
 
 def local_posterior_covariance(est: LocalEstimator) -> np.ndarray:
@@ -147,9 +149,9 @@ def build_global_estimator(
 ) -> GlobalEstimator:
     """Global estimator over all line currents.
 
-    ``q``/``r`` are either per-line 2x2 blocks (tiled to every line) or
-    full stacked matrices; ``input_covariance`` is the stacked covariance
-    of the bus-voltage-difference inputs, see ``global_input_covariance``.
+    ``q``/``r`` are per-line 2x2 blocks, tiled to every line; its process
+    noise is corrected for ``input_covariance``, the stacked covariance of
+    the bus-voltage-difference inputs (see ``global_input_covariance``).
     Raises ``ValueError`` for a grid without lines.
     """
     nl = topology.n_lines
@@ -162,16 +164,9 @@ def build_global_estimator(
     input_labels = tuple(lab for s in subs for lab in s.input_labels)
     model = ContinuousLtiModel(a, b, state_labels, input_labels)
     disc = _discretize(model, 1.0 / rate_hz, method)
-    q = np.asarray(q, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if q.shape == (2, 2):
-        q = block_diagonal([q] * nl)
-    if r.shape == (2, 2):
-        r = block_diagonal([r] * nl)
-    q_eff = effective_process_noise(q, disc.b_d, input_covariance)
-    return GlobalEstimator(
-        kf=KalmanEstimator(disc, q_eff=q_eff, r=r), rate_hz=rate_hz, topology=topology
-    )
+    q_eff = effective_process_noise(block_diagonal([q] * nl), disc.b_d, input_covariance)
+    kf = KalmanEstimator(disc, q_eff=q_eff, r=block_diagonal([r] * nl))
+    return GlobalEstimator(kf=kf, rate_hz=rate_hz, topology=topology)
 
 
 def _check_rate(trace_step: float, rate_hz: float, what: str) -> None:

@@ -2,9 +2,9 @@
 
 The measurement model is fixed to identity (every state channel is
 measured directly), so the innovation covariance is simply R + P.  Input
-measurements carry their own zero-mean noise; its effect on the state
-prediction is folded into an effective process covariance
-``Q_eff = B_d M B_d^T + Q`` once at construction time.
+measurements carry their own zero-mean noise; the estimator builders of
+``estimation`` fold it into the process covariance the filter is given,
+``Q_eff = B_d M B_d^T + Q`` (``effective_process_noise``).
 
 With H = I and constant Q_eff and R, the gain and innovation covariance
 sequences do not depend on the data.  ``filter_record`` therefore runs a
@@ -66,6 +66,8 @@ def _check_covariance(name: str, m: np.ndarray, dim: int | None = None) -> np.nd
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     if dim is not None and m.shape[0] != dim:
         raise ValueError(f"{name} must be {dim}x{dim}, got {m.shape[0]}x{m.shape[0]}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must be finite")
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.T).max() > SYMMETRY_TOL * scale:
         raise ValueError(f"{name} is not symmetric")
@@ -180,7 +182,9 @@ def _update_covariance(
 
 
 class KalmanEstimator:
-    """Stateful predict/update recursion over a discrete LTI model.
+    """Stateful predict/update recursion over a discrete LTI model with
+    process covariance ``q_eff`` and measurement covariance ``r``; the
+    initial estimate ``x0`` defaults to zero and its covariance ``p0`` to r.
 
     One instance is owned by exactly one caller at a time; distinct
     instances are fully independent.
@@ -189,22 +193,14 @@ class KalmanEstimator:
     def __init__(
         self,
         model: DiscreteLtiModel,
-        noise: NoiseSpec | None = None,
         *,
-        q_eff: np.ndarray | None = None,
-        r: np.ndarray | None = None,
+        q_eff: np.ndarray,
+        r: np.ndarray,
         x0: np.ndarray | None = None,
         p0: np.ndarray | None = None,
     ):
         self.model = model
         n = model.n_states
-        if noise is not None:
-            if q_eff is not None or r is not None:
-                raise ValueError("pass either a NoiseSpec or explicit q_eff/r, not both")
-            q_eff = effective_process_noise(noise.q, model.b_d, noise.m)
-            r = noise.r
-        if q_eff is None or r is None:
-            raise ValueError("q_eff and r are required when no NoiseSpec is given")
         self.q_eff = _check_covariance("q_eff", q_eff, dim=n)
         self.r = _check_covariance("r", r, dim=n)
         self.x_hat = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()

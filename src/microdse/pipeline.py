@@ -68,8 +68,8 @@ def estimate_scenario(scn: ScenarioConfig, trace: Trace) -> EstimationResult:
     m_global = global_input_covariance(topology, posteriors)
     global_estimator = build_global_estimator(
         topology,
-        q=np.diag(np.square(est.global_process_std)),
-        r=np.diag(np.square(est.global_measurement_std)),
+        q=est.global_noise.q,
+        r=est.global_noise.r,
         rate_hz=est.global_rate_hz,
         input_covariance=m_global,
         method=est.method,

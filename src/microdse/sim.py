@@ -566,6 +566,11 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
     return x_true, u_true
 
 
+def sample_times(n: int, step_s: float) -> np.ndarray:
+    """``n`` sample times at ``step_s``, rounded to the trace CSVs' 9 decimals."""
+    return np.round(np.arange(n) * step_s, 9)
+
+
 def run_plant(cfg: SimConfig) -> Trace:
     """Simulate the configured scenario; deterministic given the seed.
 
@@ -584,7 +589,7 @@ def run_plant(cfg: SimConfig) -> Trace:
     loop = _closed_loop(cfg)
     dt = cfg.plant_step_s
     n_rec = int(round(cfg.duration_s / dt)) + 1
-    t = np.round(np.arange(n_rec) * dt, 9)
+    t = sample_times(n_rec, dt)
     rng = np.random.default_rng(cfg.seed)
     x_true, u_true = _truth(cfg, loop, t, rng)
 

@@ -177,7 +177,9 @@ def test_criterion_5_kalman_core(reference_topology):
 
     # symmetry and positive semidefiniteness over 1e5 random-noise steps
     spec = NoiseSpec.from_std([0.5] * 4, [30.0, 30.0, 20.0, 20.0], [2.0, 2.0, 1.0, 1.0])
-    est5 = KalmanEstimator(disc, noise=spec)
+    est5 = KalmanEstimator(
+        disc, q_eff=effective_process_noise(spec.q, disc.b_d, spec.m), r=spec.r
+    )
     sym_ok = psd_ok = True
     us = rng.standard_normal((100_000, 4)) * 100
     zs = rng.standard_normal((100_000, 4)) * 100

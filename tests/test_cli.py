@@ -78,6 +78,34 @@ def test_non_finite_setting_exits_with_validation_code(tmp_path, capsys, edit, f
     assert err.startswith("error: ") and f"{field} must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "edit, section",
+    [
+        (lambda raw: raw["simulation"]["controller"].update(kp=math.nan), "simulation.controller"),
+        (
+            lambda raw: raw["simulation"]["loads"]["events"][0].update(delta_d_amps=math.nan),
+            "simulation.loads.events",
+        ),
+        (
+            lambda raw: raw["simulation"]["noise"]["dgu"]["measurement_std"].__setitem__(0, math.nan),
+            "simulation.noise.dgu",
+        ),
+        (
+            lambda raw: raw["estimation"]["local_noise"]["process_std"].__setitem__(0, math.nan),
+            "estimation.local_noise",
+        ),
+        (lambda raw: raw["estimation"].update(local_rate_hz=math.nan), "estimation.local_rate_hz"),
+    ],
+    ids=["kp", "delta_d_amps", "dgu_measurement_std", "local_process_std", "local_rate_hz"],
+)
+def test_invalid_setting_raises_config_error_naming_its_section(edit, section):
+    raw = m.bundled_config_dict()
+    edit(raw)
+    with pytest.raises(m.ConfigError) as info:
+        m.load_scenario_dict(raw)
+    assert section in str(info.value)
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     raw = m.bundled_config_dict()
     raw["simulation"]["typo_key"] = 1
@@ -294,6 +322,42 @@ def test_estimate_rejects_misaligned_traces(short_config, tmp_path, capsys):
         "--truth", out / "truth.csv", "--measurements", out / "measurements.csv",
     ) == 1
     assert "aligned" in capsys.readouterr().err
+
+
+def test_estimate_reads_the_time_grid_from_the_scenario(tmp_path):
+    # at 30 kHz the CSV's 9-decimal times put t[1] - t[0] off the step
+    raw = m.bundled_config_dict()
+    raw["simulation"]["step_s"] = 1.0 / 30000.0
+    raw["simulation"]["duration_s"] = 0.3
+    raw["simulation"]["loads"]["events"][0]["time_s"] = 0.15
+    path = tmp_path / "fast.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "fast"
+    assert run_cli("simulate", "--config", path, "--out", out) == 0
+    assert run_cli(
+        "estimate", "--config", path, "--out", out,
+        "--truth", out / "truth.csv", "--measurements", out / "measurements.csv",
+    ) == 0
+    scn = m.load_scenario_dict(raw)
+    metrics = m.compute_metrics(scn, m.estimate_scenario(scn, m.simulate_scenario(scn)))
+    assert (out / "metrics.json").read_text() == json.dumps(
+        metrics, indent=2, sort_keys=True
+    ) + "\n"
+
+
+def test_estimate_rejects_times_off_the_scenario_grid(short_config, tmp_path, capsys):
+    out = tmp_path / "shifted"
+    assert run_cli("simulate", "--config", short_config, "--out", out) == 0
+    for name in ("truth.csv", "measurements.csv"):
+        t, cols = read_csv(out / name)
+        t[3:] += 5e-5
+        write_csv(out / name, t, cols)
+    assert run_cli(
+        "estimate", "--config", short_config, "--out", out,
+        "--truth", out / "truth.csv", "--measurements", out / "measurements.csv",
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 5 has t=0.00035" in err
 
 
 def test_report_outputs(tmp_path, capsys):

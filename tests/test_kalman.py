@@ -57,6 +57,21 @@ def test_noise_spec_rejects_asymmetric_and_indefinite():
         NoiseSpec(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2), np.eye(2))
 
 
+@pytest.mark.parametrize("name", ["q_eff", "r", "p0"])
+def test_filter_covariances_reject_non_finite_entries(name):
+    noise = {"q_eff": np.eye(4), "r": np.eye(4), "p0": np.eye(4)}
+    noise[name][1, 1] = np.nan
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        KalmanEstimator(dgu_discrete(), **noise)
+
+
+def test_noise_spec_rejects_non_finite_std():
+    with pytest.raises(ValueError, match="^q must be finite$"):
+        NoiseSpec.from_std([np.nan, 1.0, 1.0, 1.0], [1.0] * 4, [1.0] * 4)
+    with pytest.raises(ValueError, match="^m must be finite$"):
+        NoiseSpec.from_std([1.0] * 4, [1.0] * 4, [1.0, np.inf, 1.0, 1.0])
+
+
 def test_noise_spec_from_std():
     spec = NoiseSpec.from_std([1.0, 2.0], [3.0, 4.0], [0.5, 0.5])
     np.testing.assert_array_equal(spec.q, np.diag([1.0, 4.0]))
@@ -150,8 +165,9 @@ def test_update_zero_innovation_contracts_covariance():
 def test_step_equals_predict_then_update():
     disc = dgu_discrete()
     spec = NoiseSpec.from_std([0.5] * 4, [30.0, 30.0, 20.0, 20.0], [2.0, 2.0, 1.0, 1.0])
-    a = KalmanEstimator(disc, noise=spec)
-    b = KalmanEstimator(disc, noise=spec)
+    q_eff = effective_process_noise(spec.q, disc.b_d, spec.m)
+    a = KalmanEstimator(disc, q_eff=q_eff, r=spec.r)
+    b = KalmanEstimator(disc, q_eff=q_eff, r=spec.r)
     rng = np.random.default_rng(5)
     for _ in range(50):
         u = rng.standard_normal(4)
@@ -206,7 +222,9 @@ def test_covariance_converges_to_riccati_fixed_point():
 def test_covariance_stays_symmetric_psd_under_random_steps():
     disc = dgu_discrete()
     spec = NoiseSpec.from_std([0.5] * 4, [30.0, 30.0, 20.0, 20.0], [2.0, 2.0, 1.0, 1.0])
-    est = KalmanEstimator(disc, noise=spec)
+    est = KalmanEstimator(
+        disc, q_eff=effective_process_noise(spec.q, disc.b_d, spec.m), r=spec.r
+    )
     rng = np.random.default_rng(9)
     for _ in range(2000):
         est.step(rng.standard_normal(4) * 100, rng.standard_normal(4) * 100)
