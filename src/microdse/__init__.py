@@ -73,7 +73,6 @@ from .sim import (
     Trace,
     closed_loop_matrix,
     downsample,
-    regulated_equilibrium,
     run_plant,
 )
 

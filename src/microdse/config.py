@@ -78,6 +78,15 @@ class MetricsSettings:
     windows_s: tuple[tuple[float, float], ...] | None = None
     tracking_horizon_s: float = 0.1
 
+    def __post_init__(self):
+        # chained comparisons are false for NaN
+        if not 0.0 < self.tracking_horizon_s < np.inf:
+            raise ValueError(
+                f"tracking_horizon_s must be finite and positive, got {self.tracking_horizon_s!r}"
+            )
+        if self.windows_s is not None and not np.isfinite(self.windows_s).all():
+            raise ValueError(f"windows_s must be finite, got {self.windows_s!r}")
+
     def resolved_windows(self, duration_s: float, events: EventSchedule):
         """Configured windows clamped to the run, or steady windows derived
         from the event times when none of the configured ones fit.
@@ -264,12 +273,13 @@ def load_scenario_dict(raw: dict) -> ScenarioConfig:
             raise ConfigError(f"estimation.{name}.measurement_std must be positive")
     m = e.get("metrics", {})
     windows = m.get("windows_s")
-    metrics = MetricsSettings(
-        windows_s=tuple((float(a), float(b)) for a, b in windows)
-        if windows is not None
-        else None,
-        tracking_horizon_s=m.get("tracking_horizon_s", 0.1),
-    )
+    with _section("estimation.metrics"):
+        metrics = MetricsSettings(
+            windows_s=tuple((float(a), float(b)) for a, b in windows)
+            if windows is not None
+            else None,
+            tracking_horizon_s=m.get("tracking_horizon_s", 0.1),
+        )
     est = EstimationSettings(
         local_rate_hz=local_rate,
         global_rate_hz=global_rate,

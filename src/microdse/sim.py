@@ -16,7 +16,11 @@ segments of blocks (``kalman._linear_recursion``).  From the first
 sample where the raw output reaches the clamp it steps the rest of the
 record per sample through the same matrices, with the clip and the
 conditional anti-windup applied on top (``_step_saturated``).
-``closed_loop_matrix`` returns A_cl for the stability check.
+``closed_loop_matrix`` returns A_cl for the stability check.  An
+equilibrium start is the fixed point of the same recursion under the
+first sample's inputs (``regulated_equilibrium``), with or without a
+controller, so the operating point is never derived apart from the
+matrices the run steps through.
 """
 
 from __future__ import annotations
@@ -152,10 +156,12 @@ class SimConfig:
         )
         if self.noise is None:
             object.__setattr__(self, "noise", SimNoise.zero())
-        if self.plant_step_s <= 0.0:
-            raise ValueError("plant_step_s must be positive")
-        if self.duration_s <= 0.0:
-            raise ValueError("duration_s must be positive")
+        # chained comparisons are false for NaN
+        for name in ("plant_step_s", "duration_s"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(
+                    f"{name} must be finite and positive, got {getattr(self, name)!r}"
+                )
         if self.duration_s < self.events.last_time:
             raise ValueError("duration must cover the latest scheduled event")
         if self.initial_loads.shape != (nb, 2):
@@ -256,57 +262,6 @@ def _output_current_map(topology: MicrogridTopology) -> np.ndarray:
     return io
 
 
-def regulated_equilibrium(
-    topology: MicrogridTopology, controller: RegulatorConfig, loads: np.ndarray
-):
-    """Closed-loop operating point for given per-bus dq loads.
-
-    Solved from the steady-state circuit relations with every bus voltage
-    pinned at its (droop-shifted) reference and v_q at zero.  Returns
-    ``(x, integ_d, integ_q, v_t)`` where ``x`` is the plant state and the
-    integrator values make the regulator reproduce ``v_t`` exactly.
-    """
-    nb = topology.n_buses
-    omega = topology.omega
-    loads = np.asarray(loads, dtype=float)
-    inc = topology.incidence
-    r_line = np.array([ln.r for ln in topology.lines])
-    l_line = np.array([ln.l for ln in topology.lines])
-    z2 = r_line**2 + (omega * l_line) ** 2
-    g_d = r_line / z2
-    g_q = -omega * l_line / z2
-    kd = controller.droop
-    lhs = np.eye(nb) + kd * (inc * g_d) @ inc.T
-    v_d = np.linalg.solve(lhs, controller.reference - kd * loads[:, 0])
-    dv = inc.T @ v_d  # per-line endpoint difference
-    i_line_d = g_d * dv
-    i_line_q = g_q * dv
-    i_od = loads[:, 0] + inc @ i_line_d
-    i_oq = loads[:, 1] + inc @ i_line_q
-    c_t = np.array([d.c_t for d in topology.dgus])
-    r_t = np.array([d.r_t for d in topology.dgus])
-    l_t = np.array([d.l_t for d in topology.dgus])
-    i_td = i_od  # v_q = 0 removes the capacitor d-axis term
-    i_tq = i_oq + omega * c_t * v_d
-    v_td = v_d + r_t * i_td - omega * l_t * i_tq
-    v_tq = r_t * i_tq + omega * l_t * i_td
-    vmax = controller.v_max_scale * controller.reference
-    if (np.abs(v_td) > vmax).any() or (np.abs(v_tq) > vmax).any():
-        raise ValueError("equilibrium terminal voltage exceeds the regulator clamp")
-    ref_d = controller.reference - kd * i_od
-    integ_d = (v_td - ref_d + controller.virtual_resistance * i_td) / controller.ki
-    integ_q = (v_tq + controller.virtual_resistance * i_tq) / controller.ki
-    idx_vd, _, idx_itd, idx_itq = _bus_index_arrays(nb)
-    lines = topology.line_columns
-    x = np.zeros(4 * nb + lines.size)
-    x[idx_vd] = v_d
-    x[idx_itd] = i_td
-    x[idx_itq] = i_tq
-    x[lines[0::2]] = i_line_d
-    x[lines[1::2]] = i_line_q
-    return x, integ_d, integ_q, np.column_stack([v_td, v_tq])
-
-
 class _Loop(NamedTuple):
     """The simulated plant as the linear recursion xi_{k+1} = a xi_k + g e_k.
 
@@ -388,6 +343,15 @@ def closed_loop_matrix(cfg: SimConfig) -> np.ndarray:
     return _closed_loop(cfg).a
 
 
+def regulated_equilibrium(loop: _Loop, e0: np.ndarray) -> np.ndarray:
+    """Operating point of ``loop`` under the constant exogenous inputs
+    ``e0``: the fixed point xi = a xi + g e0, so the plant states plus,
+    under a controller, the integrators.  I - a is invertible for every
+    loop ``_truth`` runs: a closed loop passes the spectral-radius check
+    first, and ``discretize_exact`` rejects an open loop's singular A."""
+    return np.linalg.solve(np.eye(loop.a.shape[0]) - loop.a, loop.g @ e0)
+
+
 def _add_noise(rng, out: np.ndarray, topology, dgu_cov, line_cov=None) -> None:
     """Add one draw per row of ``out`` to each block of its columns, in the
     fixed order: DGU blocks bus by bus, then (given ``line_cov``) line
@@ -455,8 +419,8 @@ def _step_saturated(cfg, loop, k0, xi, exo, x_true, u_true, guard, t) -> None:
 
 def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     """The true plant states and DGU inputs of every sample, with the
-    process noise drawn from ``rng``.  Raises on an unstable closed loop
-    and on divergence.
+    process noise drawn from ``rng``.  Raises on an unstable closed loop,
+    on an equilibrium start outside the regulator clamp and on divergence.
 
     The linear pass runs a whole number of ``_BLOCK``-sample blocks at a
     time, as many as fit in ``_SEGMENT_VALUES``, so the state with its
@@ -491,12 +455,8 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
         exo[:, nb : 2 * nb] = cfg.fixed_terminal_voltage[:, 1]
 
     xi0 = np.zeros(loop.a.shape[0])
-    if cfg.start == "equilibrium" and ctl is not None:
-        x0, integ_d, integ_q, _ = regulated_equilibrium(topo, ctl, cfg.initial_loads)
-        xi0[:] = np.concatenate([x0, integ_d, integ_q])
-    elif cfg.start == "equilibrium":
-        u0 = np.concatenate([cfg.fixed_terminal_voltage.reshape(-1), loads[0]])
-        xi0[:] = np.linalg.solve(loop.model.a, -(loop.model.b @ u0))
+    if cfg.start == "equilibrium":
+        xi0[:] = regulated_equilibrium(loop, exo[0])
 
     # until the pass reaches it, row k + 1 holds step k's process noise
     x_true = np.zeros((n_rec, n))
@@ -536,6 +496,8 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
     buf = np.empty((min(steps, segment) + 1, m))
     buf[0] = xi0
     saturated = None if clamp_free(buf[:1], 0) else 0
+    if saturated is not None and cfg.start == "equilibrium":
+        raise ValueError("equilibrium terminal voltage exceeds the regulator clamp")
     a = 0
     while saturated is None and a < steps:
         rows = min(segment, steps - a)

@@ -5,9 +5,11 @@ output-current map and the divergence guard in turn.  It is the oracle
 for ``microdse.sim.run_plant``, whose regulator law lives only in the
 closed-loop matrices of ``sim._closed_loop``: ``VoltageRegulator`` writes
 the same law, clip and conditional anti-windup per sample from the bus
-quantities, independently of those matrices.  The two simulators must
-agree to rounding, draw the same noise in the same order and stop at the
-same sample.
+quantities, independently of those matrices.  Its equilibrium start is
+derived by hand from the steady-state circuit relations
+(``regulated_equilibrium`` here), where the simulator solves for its
+loop's fixed point.  The two simulators must agree to rounding, draw the
+same noise in the same order and stop at the same sample.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from microdse.discretize import discretize_exact
-from microdse.models import build_coupled_plant, dgu_input_labels
+from microdse.models import MicrogridTopology, build_coupled_plant, dgu_input_labels
 from microdse.sim import (
     RegulatorConfig,
     SimConfig,
@@ -25,8 +27,58 @@ from microdse.sim import (
     _covariance_factor,
     _output_current_map,
     closed_loop_matrix,
-    regulated_equilibrium,
 )
+
+
+def regulated_equilibrium(
+    topology: MicrogridTopology, controller: RegulatorConfig, loads: np.ndarray
+):
+    """Closed-loop operating point for given per-bus dq loads.
+
+    Solved from the steady-state circuit relations with every bus voltage
+    pinned at its (droop-shifted) reference and v_q at zero.  Returns
+    ``(x, integ_d, integ_q, v_t)`` where ``x`` is the plant state and the
+    integrator values make the regulator reproduce ``v_t`` exactly.
+    """
+    nb = topology.n_buses
+    omega = topology.omega
+    loads = np.asarray(loads, dtype=float)
+    inc = topology.incidence
+    r_line = np.array([ln.r for ln in topology.lines])
+    l_line = np.array([ln.l for ln in topology.lines])
+    z2 = r_line**2 + (omega * l_line) ** 2
+    g_d = r_line / z2
+    g_q = -omega * l_line / z2
+    kd = controller.droop
+    lhs = np.eye(nb) + kd * (inc * g_d) @ inc.T
+    v_d = np.linalg.solve(lhs, controller.reference - kd * loads[:, 0])
+    dv = inc.T @ v_d  # per-line endpoint difference
+    i_line_d = g_d * dv
+    i_line_q = g_q * dv
+    i_od = loads[:, 0] + inc @ i_line_d
+    i_oq = loads[:, 1] + inc @ i_line_q
+    c_t = np.array([d.c_t for d in topology.dgus])
+    r_t = np.array([d.r_t for d in topology.dgus])
+    l_t = np.array([d.l_t for d in topology.dgus])
+    i_td = i_od  # v_q = 0 removes the capacitor d-axis term
+    i_tq = i_oq + omega * c_t * v_d
+    v_td = v_d + r_t * i_td - omega * l_t * i_tq
+    v_tq = r_t * i_tq + omega * l_t * i_td
+    vmax = controller.v_max_scale * controller.reference
+    if (np.abs(v_td) > vmax).any() or (np.abs(v_tq) > vmax).any():
+        raise ValueError("equilibrium terminal voltage exceeds the regulator clamp")
+    ref_d = controller.reference - kd * i_od
+    integ_d = (v_td - ref_d + controller.virtual_resistance * i_td) / controller.ki
+    integ_q = (v_tq + controller.virtual_resistance * i_tq) / controller.ki
+    idx_vd, _, idx_itd, idx_itq = _bus_index_arrays(nb)
+    lines = topology.line_columns
+    x = np.zeros(4 * nb + lines.size)
+    x[idx_vd] = v_d
+    x[idx_itd] = i_td
+    x[idx_itq] = i_tq
+    x[lines[0::2]] = i_line_d
+    x[lines[1::2]] = i_line_q
+    return x, integ_d, integ_q, np.column_stack([v_td, v_tq])
 
 
 class VoltageRegulator:

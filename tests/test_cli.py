@@ -46,6 +46,14 @@ def test_duration_zero_gives_header_only(short_config, tmp_path):
     assert text[0].startswith("t,v_d1,")
 
 
+@pytest.mark.parametrize("duration", ["inf", "nan"])
+def test_non_finite_duration_exits_with_validation_code(short_config, tmp_path, capsys, duration):
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", short_config, "--out", out, "--duration", duration) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid simulation: duration_s must be finite and positive")
+
+
 def test_invalid_electrical_parameter_names_field(tmp_path, capsys):
     raw = m.bundled_config_dict()
     raw["topology"]["lines"][0]["l_henry"] = -1.0
@@ -95,8 +103,20 @@ def test_non_finite_setting_exits_with_validation_code(tmp_path, capsys, edit, f
             "estimation.local_noise",
         ),
         (lambda raw: raw["estimation"].update(local_rate_hz=math.nan), "estimation.local_rate_hz"),
+        (lambda raw: raw["simulation"].update(step_s=math.nan), "simulation"),
+        (
+            lambda raw: raw["estimation"]["metrics"].update(tracking_horizon_s=math.nan),
+            "estimation.metrics",
+        ),
+        (
+            lambda raw: raw["estimation"]["metrics"]["windows_s"][1].__setitem__(1, math.nan),
+            "estimation.metrics",
+        ),
     ],
-    ids=["kp", "delta_d_amps", "dgu_measurement_std", "local_process_std", "local_rate_hz"],
+    ids=[
+        "kp", "delta_d_amps", "dgu_measurement_std", "local_process_std", "local_rate_hz",
+        "step_s", "tracking_horizon_s", "windows_s",
+    ],
 )
 def test_invalid_setting_raises_config_error_naming_its_section(edit, section):
     raw = m.bundled_config_dict()

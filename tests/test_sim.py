@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sim_oracle import VoltageRegulator, run_plant_loop
+from sim_oracle import VoltageRegulator, regulated_equilibrium, run_plant_loop
 from structure_oracle import (
     coupled_plant_loop,
     global_input_covariance_loop,
@@ -25,7 +25,6 @@ from microdse import (
     closed_loop_matrix,
     discretize_exact,
     downsample,
-    regulated_equilibrium,
     run_plant,
 )
 from microdse.estimation import global_input_covariance
@@ -406,6 +405,21 @@ def test_linear_pass_matches_loop_when_clamp_engages_mid_record(
     assert clamped_samples(cfg, trace)[0] == 500
 
 
+def test_equilibrium_outside_the_clamp_is_rejected(reference_scenario):
+    # 2000 A of capacitive load per bus needs a terminal voltage above
+    # 1.0001 x reference: the linear loop's fixed point is no operating
+    # point of the clamped regulator
+    sim = reference_scenario.sim
+    cfg = dataclasses.replace(
+        sim,
+        initial_loads=np.column_stack([sim.initial_loads[:, 0], np.full(3, -2000.0)]),
+        controller=dataclasses.replace(sim.controller, v_max_scale=1.0001),
+    )
+    for simulate in (run_plant, run_plant_loop):
+        with pytest.raises(ValueError, match="equilibrium terminal voltage exceeds the regulator clamp"):
+            simulate(cfg)
+
+
 @st.composite
 def random_grids(draw, min_buses=2, max_buses=6, max_chords=3):
     """Connected grids: a random spanning tree plus optional chords, so
@@ -564,18 +578,24 @@ def test_structure_matches_the_per_line_oracle(grid, seed):
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(grid=random_grids(1, 12, max_chords=6), droop=st.floats(0.0, 1.0))
-def test_regulated_equilibrium_is_the_closed_loop_fixed_point(reference_scenario, grid, droop):
+def regulated_config(reference_scenario, grid, droop):
+    """One regulated plant step on ``grid`` with the reference gains."""
     topology, loads = grid
-    nb = topology.n_buses
     ctl = dataclasses.replace(
-        reference_scenario.sim.controller, droop=droop, reference=np.full(nb, 11267.652)
+        reference_scenario.sim.controller, droop=droop,
+        reference=np.full(topology.n_buses, 11267.652),
     )
-    cfg = SimConfig(
+    return SimConfig(
         topology=topology, duration_s=1e-4, plant_step_s=1e-4, seed=0,
         initial_loads=loads, controller=ctl,
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=random_grids(1, 12, max_chords=6), droop=st.floats(0.0, 1.0))
+def test_regulated_equilibrium_is_the_closed_loop_fixed_point(reference_scenario, grid, droop):
+    cfg = regulated_config(reference_scenario, grid, droop)
+    topology, loads, ctl = cfg.topology, cfg.initial_loads, cfg.controller
     x, integ_d, integ_q, v_t = regulated_equilibrium(topology, ctl, loads)
     xi = np.concatenate([x, integ_d, integ_q])
     loop = _closed_loop(cfg)
@@ -584,3 +604,30 @@ def test_regulated_equilibrium_is_the_closed_loop_fixed_point(reference_scenario
     assert np.abs(step).max() <= 1e-9 * np.abs(xi).max()
     raw = _raw_output(loop, ctl, xi, ref)
     assert np.abs(raw - v_t.T.reshape(-1)).max() <= 1e-12 * np.abs(v_t).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=random_grids(1, 12, max_chords=6), droop=st.floats(0.0, 1.0))
+def test_regulated_start_is_the_analytic_equilibrium(reference_scenario, grid, droop):
+    # the simulator solves its loop's fixed point; the oracle derives the
+    # operating point from the circuit relations by hand
+    cfg = regulated_config(reference_scenario, grid, droop)
+    assume(np.abs(np.linalg.eigvals(closed_loop_matrix(cfg))).max() < 1.0)
+    x, _, _, v_t = regulated_equilibrium(cfg.topology, cfg.controller, cfg.initial_loads)
+    trace = run_plant(cfg)
+    assert np.abs(trace.x_true[0] - x).max() <= 1e-12 * np.abs(x).max()
+    v_t0 = np.column_stack([trace.u_true[0, 0::4], trace.u_true[0, 1::4]])
+    assert np.abs(v_t0 - v_t).max() <= 1e-12 * np.abs(v_t).max()
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid=random_grids(1, 12, max_chords=6))
+def test_open_loop_start_is_the_continuous_time_equilibrium(grid):
+    topology, loads = grid
+    vt = np.tile([11000.0, 150.0], (topology.n_buses, 1))
+    cfg = open_loop_config(topology, duration=1e-4, vt=vt, loads=loads)
+    model = build_coupled_plant(topology)
+    u0 = np.concatenate([vt.reshape(-1), loads.reshape(-1)])
+    x_star = np.linalg.solve(model.a, -(model.b @ u0))
+    x0 = run_plant(cfg).x_true[0]
+    assert np.abs(x0 - x_star).max() <= 1e-12 * np.abs(x_star).max()
