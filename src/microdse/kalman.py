@@ -22,7 +22,16 @@ filter's schedule and estimates are the same, bit for bit, for every B and
 stack order (for the estimates, under the BLAS condition that
 ``filter_record`` states), and a lone filter is a stack of one.
 ``steady_state_covariance`` takes the limit directly from the discrete
-algebraic Riccati equation (DARE; Arnold & Laub, Proc. IEEE 1984).
+algebraic Riccati equation (DARE), solved by the structure-preserving
+doubling algorithm (SDA; Anderson, Int. J. Control 1978; Lin & Xu, SIAM
+J. Matrix Anal. Appl. 2006) in a few dozen matrix products.
+
+None of this work reads a measurement, so a process does it once per
+content: the schedules of ``filter_record`` (through ``schedules_of``) and
+the steady posteriors come from one small LRU memo keyed on the exact
+bytes and shapes of the model and noise matrices (``_data_free``), and
+are returned read-only.  Runs with the same model and noise, such as
+Monte Carlo seeds, then share them.
 ``KalmanEstimator`` is the per-step API of the same recursion and the
 tests' reference for ``filter_record``; the estimators run whole records
 through ``filter_record`` only.  All three paths, the schedule, the
@@ -33,10 +42,10 @@ covariances.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_are
 
 from .discretize import DiscreteLtiModel
 
@@ -442,14 +451,45 @@ def schedules_of(
     estimators: list[KalmanEstimator], max_steps: int
 ) -> list[GainSchedule]:
     """``gain_schedule`` of the estimators, stacked, from their current
-    posterior covariances."""
-    return gain_schedule(
-        np.array([kf.model.a_d for kf in estimators]),
-        np.array([kf.q_eff for kf in estimators]),
-        np.array([kf.r for kf in estimators]),
-        np.array([kf.p for kf in estimators]),
-        max_steps,
+    posterior covariances; read-only, and computed once per content."""
+    return list(
+        _memoized(
+            max_steps,
+            [kf.model.a_d for kf in estimators],
+            [kf.q_eff for kf in estimators],
+            [kf.r for kf in estimators],
+            [kf.p for kf in estimators],
+        )
     )
+
+
+def _memoized(max_steps: int | None, *matrices) -> tuple | np.ndarray:
+    """``_data_free`` on the float stacks ``matrices``, keyed on their content."""
+    stacks = [np.asarray(m, dtype=float) for m in matrices]
+    return _data_free(max_steps, tuple(m.shape for m in stacks), *(m.tobytes() for m in stacks))
+
+
+@functools.lru_cache(maxsize=8)
+def _data_free(max_steps: int | None, shapes: tuple, *blobs: bytes) -> tuple | np.ndarray:
+    """The data-free work on the float arrays of ``shapes`` whose bytes are
+    ``blobs``, with every array read-only: for a ``max_steps``, the
+    ``gain_schedule`` of the stacks (a_d, q_eff, r, p0) as a tuple; for
+    None, the steady posterior of (a_d, q_eff, r).
+
+    The key is the exact content, so equal inputs built separately share
+    an entry and one changed bit misses it.  A failure raises and is not
+    cached.
+    """
+    matrices = [np.frombuffer(b).reshape(s) for b, s in zip(blobs, shapes)]
+    if max_steps is None:
+        out = _steady_posterior(*matrices)
+        out.setflags(write=False)
+        return out
+    schedules = tuple(gain_schedule(*matrices, max_steps))
+    for sched in schedules:
+        for m in (sched.gains, sched.s_inv, sched.p):
+            m.setflags(write=False)
+    return schedules
 
 
 def filter_record(
@@ -621,16 +661,52 @@ def _steady_tails(filters, schedules, order, z, u, index, x_hat, nis):
 def steady_state_covariance(
     a_d: np.ndarray, q_eff: np.ndarray, r: np.ndarray
 ) -> np.ndarray:
-    """Posterior covariance fixed point of the predict/update recursion.
+    """Posterior covariance fixed point of the predict/update recursion;
+    read-only, and computed once per content.
 
     The prior fixed point solves the filtering DARE, the dual of the
     control one: P = A P A^T - A P (P + R)^-1 P A^T + Q_eff.  The update
-    of ``gain_schedule`` then gives the posterior.
+    of ``gain_schedule`` then gives the posterior.  Raises
+    ``CovarianceError`` where the doubling finds no stabilizing solution,
+    for instance for Q_eff = 0 with an unstable A_d.
     """
-    a_d = np.asarray(a_d, dtype=float)
-    q_eff = np.asarray(q_eff, dtype=float)
-    r = np.asarray(r, dtype=float)
+    return _memoized(None, a_d, q_eff, r)
+
+
+#: Doubling steps of ``_steady_posterior`` before it gives up: 2^64
+#: steps of the covariance recursion.
+_DOUBLINGS = 64
+
+
+def _steady_posterior(a_d: np.ndarray, q_eff: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``steady_state_covariance`` by the SDA for the control-form DARE
+    with A = A_d^T, G = R^-1 and H = Q_eff.  Each doubling sets
+    W = (I + G H)^-1, then A <- A W A, G <- G + A W G A^T and
+    H <- H + A^T H W A, so that H_k is the prior after 2^k steps of the
+    recursion from a zero posterior and A_k the closed-loop transition
+    over those steps.  H has converged to the stabilizing solution once it
+    stops changing and A_k has vanished.
+    """
     n = a_d.shape[0]
-    p_prior = solve_discrete_are(a_d.T, np.eye(n), q_eff, r)
-    p_prior = 0.5 * (p_prior + p_prior.T)
-    return _update_covariance(p_prior[None], r[None])[2][0]
+    a, g, h = a_d.T, np.linalg.inv(r), q_eff
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(_DOUBLINGS):
+                wa, wg = np.split(np.linalg.solve(np.eye(n) + g @ h, np.hstack((a, g))), 2, 1)
+                h_next = h + a.T @ h @ wa
+                g = g + a @ wg @ a.T
+                a = a @ wa
+                g, h_next = 0.5 * (g + g.T), 0.5 * (h_next + h_next.T)
+                settled = np.abs(h_next - h).max() <= STEADY_STATE_RTOL * max(
+                    1.0, np.abs(h_next).max()
+                )
+                h = h_next
+                if settled and np.abs(a).max() <= STEADY_STATE_RTOL:
+                    return _update_covariance(h[None], r[None])[2][0]
+    except FloatingPointError:
+        pass
+    raise CovarianceError(
+        None,
+        "the Riccati doubling found no stabilizing steady state; "
+        "check that the model's unstable modes receive process noise",
+    )

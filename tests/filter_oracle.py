@@ -6,12 +6,14 @@ and global estimators run; the two must agree to rounding.  Since
 ``KalmanEstimator`` shares its covariance update with ``gain_schedule``,
 the covariance recursion is checked on its own against
 ``covariance_oracle`` and ``riccati_oracle``, written here with plain
-numpy solves.
+numpy solves.  ``dare_oracle`` is scipy's DARE solver, the independent
+reference for the doubling of ``steady_state_covariance``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import solve_discrete_are
 
 
 def step_oracle(kf, z, u):
@@ -83,3 +85,13 @@ def riccati_oracle(a, q, r, tol=1e-14, iters=500000):
             return p_next
         p = p_next
     raise AssertionError("oracle iteration did not converge")
+
+
+def dare_oracle(a, q, r):
+    """Posterior covariance fixed point from scipy's stabilizing solution
+    of the filtering DARE, with the Joseph update written out."""
+    n = a.shape[0]
+    p_prior = solve_discrete_are(a.T, np.eye(n), q, r)
+    gain = np.linalg.solve(r + p_prior, p_prior).T
+    i_k = np.eye(n) - gain
+    return i_k @ p_prior @ i_k.T + gain @ r @ gain.T

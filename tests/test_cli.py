@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -561,3 +565,41 @@ def test_derived_windows_leave_out_a_window_the_run_has_no_room_for(short_config
     assert metrics["windows_s"] == [[0.125, 0.25]]
     for channel in metrics["channels"].values():
         assert [w["window_s"] for w in channel["windows"]] == [[0.125, 0.25]]
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+import microdse.cli
+
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, f"importing microdse.cli loaded {loaded}"
+# from here on, any import of scipy fails
+sys.modules["scipy"] = None
+out = sys.argv[1]
+run = ["--duration", "0.05", "--event-time", "0.025", "--out", out]
+for argv in (
+    ["simulate", *run],
+    ["estimate", *run, "--truth", out + "/truth.csv", "--measurements", out + "/measurements.csv"],
+    ["report", "--metrics", out + "/metrics.json"],
+):
+    code = microdse.cli.main(argv)
+    if code:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+def test_command_line_runs_without_scipy(tmp_path):
+    """scipy is a test dependency only: the commands neither load it nor
+    need it."""
+    src = str(Path(m.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads((tmp_path / "out" / "metrics.json").read_text())["channels"]

@@ -1,8 +1,13 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import microdse as m
+from microdse import discretize
 from microdse import (
     ContinuousLtiModel,
     build_dgu_model,
@@ -135,3 +140,54 @@ def test_labels_carried_through():
     disc = discretize_exact(model, 1e-4)
     assert disc.state_labels == ("v_d2", "v_q2", "i_td2", "i_tq2")
     assert disc.input_labels == ("v_td2", "v_tq2", "i_od2", "i_oq2")
+
+
+def _load_benchmark_scenarios():
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "scenarios.py"
+    spec = importlib.util.spec_from_file_location("benchmark_scenarios", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _relative_gap(actual, expected):
+    return np.abs(actual - expected).max() / np.abs(expected).max()
+
+
+def test_expm_matches_scipy_on_the_workload_matrices():
+    """Every T_s A that the benchmark workloads exponentiate: the plant,
+    the local and the global models of the reference grid (``reference_cli``
+    and ``montecarlo_short``) and of the 30-bus ``mesh30`` grid."""
+    scenarios = _load_benchmark_scenarios()
+    workloads = (*scenarios.reference(1), scenarios.montecarlo(1)[0], *scenarios.mesh(1))
+    exponents = []
+    original = discretize.matrix_exponential
+
+    def recorded(a):
+        exponents.append(np.array(a))
+        return original(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discretize, "matrix_exponential", recorded)
+        for raw in workloads:
+            scn = m.load_scenario_dict(scenarios.setup_cut(raw))
+            m.estimate_scenario(scn, m.simulate_scenario(scn))
+    # a plant, a local model per bus and a global model per workload
+    assert len(exponents) == 2 * (1 + 3 + 1) + (1 + 30 + 1)
+    for a in exponents:
+        assert _relative_gap(matrix_exponential(a), scipy.linalg.expm(a)) <= 1e-12
+
+
+@pytest.mark.parametrize("norm_over_theta", [0.5, 1.25, 8.0])
+def test_expm_matches_scipy_on_random_matrices_around_the_scaling_threshold(norm_over_theta):
+    """Random matrices with 1-norms below and above the threshold at which
+    the argument is scaled down.  scipy's own error grows with the norm
+    (about 1e-13 per unit, against 40-digit arithmetic, where the Pade-13
+    result stays within 1e-14), so the bound grows with it above 1.25."""
+    rng = np.random.default_rng(17)
+    bound = 1e-12 * max(1.0, norm_over_theta / 1.25)
+    for _ in range(100):
+        n = int(rng.integers(1, 9))
+        a = rng.standard_normal((n, n))
+        a *= norm_over_theta * discretize._THETA13 / np.abs(a).sum(axis=0).max()
+        assert _relative_gap(matrix_exponential(a), scipy.linalg.expm(a)) <= bound
