@@ -37,12 +37,10 @@ from .estimation import (
     run_locals,
     tracking_recovery_time,
 )
-from .frames import DqSample, ThreePhaseSample, inverse_park, park
 from .kalman import (
     KalmanEstimator,
     NoiseSpec,
     effective_process_noise,
-    innovation_consistency,
     steady_state_covariance,
 )
 from .models import (
@@ -53,9 +51,6 @@ from .models import (
     build_coupled_plant,
     build_dgu_model,
     build_line_model,
-    power_flow,
-    steady_state_residual_dgu,
-    steady_state_residual_line,
 )
 from .pipeline import (
     EstimationResult,

@@ -214,9 +214,8 @@ def run_locals(estimators: list[LocalEstimator], trace: Trace) -> dict[int, Esti
     step, so a bus gets the same result, bit for bit, alone as in any
     batch.  If several buses fail, the one reported is the bus whose
     covariance fails at the earliest sample; of several failing at that
-    sample, the first in ``estimators``.
-
-    Estimators are stateful, so pass freshly built instances.
+    sample, the first in ``estimators``.  The estimators are not changed,
+    so running them again gives the same results.
     """
     if not estimators:
         return {}

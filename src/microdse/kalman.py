@@ -31,11 +31,18 @@ content: the schedules of ``filter_record`` (through ``schedules_of``) and
 the steady posteriors come from one small LRU memo keyed on the exact
 bytes and shapes of the model and noise matrices (``_data_free``), and
 are returned read-only.  Runs with the same model and noise, such as
-Monte Carlo seeds, then share them.
-``KalmanEstimator`` is the per-step API of the same recursion and the
-tests' reference for ``filter_record``; the estimators run whole records
-through ``filter_record`` only.  All three paths, the schedule, the
-per-step update and the DARE's posterior, run one stacked covariance
+Monte Carlo seeds, then share them.  An estimation run looks up N + 2
+entries, the steady posterior of each of its N buses plus the local and
+the global schedules, so the 8-entry memo serves grids of up to six
+buses; on larger grids each run evicts what the next one needs, and the
+memo never hits.
+``KalmanEstimator`` holds one filter's validated model, noise and
+initial estimate, which ``filter_record`` reads and never changes.  Its
+per-step ``predict``/``update``/``step`` are the same recursion one
+sample at a time: the tests' reference for ``filter_record`` and the
+benchmark's count of steps to convergence; the estimators run whole
+records through ``filter_record`` only.  All three paths, the schedule,
+the per-step update and the DARE's posterior, run one stacked covariance
 update, ``_update_covariance``, so they accept the same innovation
 covariances.
 """
@@ -217,9 +224,6 @@ class KalmanEstimator:
             raise ValueError(f"x0 must have shape ({n},)")
         p0 = self.r.copy() if p0 is None else p0
         self.p = _check_covariance("p0", p0, dim=n)
-        self.innovation: np.ndarray | None = None
-        self.innovation_cov: np.ndarray | None = None
-        self.nis: float | None = None
         self._a_d = model.a_d
         self._b_d = model.b_d
 
@@ -249,41 +253,15 @@ class KalmanEstimator:
         n = self.model.n_states
         if z.shape != (n,):
             raise ValueError(f"measurement must have shape ({n},), got {z.shape}")
-        p_prior = self.p
-        k, s_inv, p = (m[0] for m in _update_covariance(p_prior[None], self.r[None]))
+        k, _, self.p = (m[0] for m in _update_covariance(self.p[None], self.r[None]))
         innovation = z - self.x_hat
         self.x_hat = self.x_hat + k @ innovation
-        self.p = p
-        self.nis = float(innovation @ s_inv @ innovation)
-        self.innovation = innovation
-        self.innovation_cov = self.r + p_prior
         return innovation, z - self.x_hat
 
     def step(self, u: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Predict with ``u`` then update with ``z``."""
         self.predict(u)
         return self.update(z)
-
-
-def innovation_consistency(
-    innovations: np.ndarray, innovation_covariances: np.ndarray
-) -> float:
-    """Mean normalized innovation squared over a window.
-
-    For a consistent filter the statistic is close to the state dimension;
-    at least ~30 samples are needed for it to be meaningful.
-    """
-    innovations = np.asarray(innovations, dtype=float)
-    covariances = np.asarray(innovation_covariances, dtype=float)
-    if innovations.size == 0:
-        raise ValueError("empty innovation history")
-    if innovations.ndim != 2 or covariances.shape != innovations.shape + innovations.shape[-1:]:
-        raise ValueError(
-            f"expected (N, n) innovations with (N, n, n) covariances, "
-            f"got {innovations.shape} and {covariances.shape}"
-        )
-    solved = np.linalg.solve(covariances, innovations[..., None])[..., 0]
-    return float(np.mean(np.sum(innovations * solved, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -450,8 +428,8 @@ def _linear_recursion(
 def schedules_of(
     estimators: list[KalmanEstimator], max_steps: int
 ) -> list[GainSchedule]:
-    """``gain_schedule`` of the estimators, stacked, from their current
-    posterior covariances; read-only, and computed once per content."""
+    """``gain_schedule`` of the estimators, stacked, from their covariances
+    ``p``; read-only, and computed once per content."""
     return list(
         _memoized(
             max_steps,
@@ -523,13 +501,14 @@ def filter_record(
       the next the start of its next block, so that no row depends on
       where a segment ends.
 
-    Each filter is left with its final estimate and posterior covariance.
-    A filter's results are the same, bit for bit, alone as in any stack
-    and order, provided BLAS rounds each row of a matrix product the same
-    for every row count of at least two.  OpenBLAS does for small models
-    such as the 4-state local filters; for products of wide matrices with
-    few rows it may not.  The stack never decides whether a product is a
-    matrix-vector one, which BLAS rounds differently.
+    The filters are read, not changed, so a second run on the same
+    filters gives the same results.  A filter's results are the same, bit
+    for bit, alone as in any stack and order, provided BLAS rounds each row
+    of a matrix product the same for every row count of at least two.
+    OpenBLAS does for small models such as the 4-state local filters; for
+    products of wide matrices with few rows it may not.  The stack never
+    decides whether a product is a matrix-vector one, which BLAS rounds
+    differently.
     """
     z = np.asarray(z, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -547,9 +526,6 @@ def filter_record(
     x_hat[:, 0] = z[0, index]
     _schedule_segment(filters, schedules, order, z, u, index, x_hat, nis)
     _steady_tails(filters, schedules, order, z, u, index, x_hat, nis)
-    for kf, sched, x in zip(filters, schedules, x_hat):
-        kf.x_hat = x[-1].copy()
-        kf.p = sched.p
     return x_hat, nis
 
 

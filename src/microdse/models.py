@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import DqSample
-
 
 def _require_positive(name: str, value: float) -> None:
     if not np.isfinite(value) or value <= 0.0:
@@ -298,53 +296,3 @@ def build_coupled_plant(topology: MicrogridTopology) -> ContinuousLtiModel:
         lab for k in range(1, nb + 1) for lab in (f"v_td{k}", f"v_tq{k}")
     ) + tuple(lab for k in range(1, nb + 1) for lab in (f"i_ld{k}", f"i_lq{k}"))
     return ContinuousLtiModel(a, b, state_labels, input_labels)
-
-
-def power_flow(v: DqSample, i: DqSample) -> tuple[float, float]:
-    """Active/reactive power of a dq voltage/current pair.
-
-    Non-conjugate product convention with the amplitude-invariant 3/2
-    factor: P = 3/2 (v_d i_d - v_q i_q), Q = 3/2 (v_d i_q + v_q i_d).
-    """
-    p = 1.5 * (v.d * i.d - v.q * i.q)
-    q = 1.5 * (v.d * i.q + v.q * i.d)
-    return p, q
-
-
-def steady_state_residual_dgu(
-    x: np.ndarray, u: np.ndarray, p: DguParams, omega: float
-) -> np.ndarray:
-    """Residuals of the DGU steady-state relations; zero iff (x, u) is an equilibrium.
-
-    Components: the series-branch voltage balance (d, q) followed by the
-    capacitor current balance (d, q).
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (4,) or u.shape != (4,):
-        raise ValueError("expected 4-state and 4-input vectors")
-    v_d, v_q, i_td, i_tq = x
-    v_td, v_tq, i_od, i_oq = u
-    wl = omega * p.l_t
-    wc = omega * p.c_t
-    return np.array(
-        [
-            v_td - v_d - p.r_t * i_td + wl * i_tq,
-            v_tq - v_q - p.r_t * i_tq - wl * i_td,
-            i_td - i_od + wc * v_q,
-            i_tq - i_oq - wc * v_d,
-        ]
-    )
-
-
-def steady_state_residual_line(
-    i: DqSample, v_i: DqSample, v_j: DqSample, p: LineParams, omega: float
-) -> np.ndarray:
-    """Residual of the line steady-state relation; zero iff the current balances the voltage drop."""
-    wl = omega * p.l
-    return np.array(
-        [
-            (v_i.d - v_j.d) - p.r * i.d + wl * i.q,
-            (v_i.q - v_j.q) - p.r * i.q - wl * i.d,
-        ]
-    )

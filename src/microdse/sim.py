@@ -185,10 +185,6 @@ class SimConfig:
                 raise ValueError("fixed_terminal_voltage must be finite")
             object.__setattr__(self, "fixed_terminal_voltage", vt)
 
-    @property
-    def plant_rate_hz(self) -> float:
-        return 1.0 / self.plant_step_s
-
 
 @dataclass(frozen=True)
 class Trace:

@@ -1,8 +1,10 @@
 """Reference filters for ``microdse.kalman``.
 
-``step_oracle`` runs a whole record one ``KalmanEstimator.step`` at a
-time: the oracle for the state pass of ``filter_record``, which the local
-and global estimators run; the two must agree to rounding.  Since
+``step_oracle`` runs a whole record one ``KalmanEstimator`` predict and
+update at a time: the oracle for the state pass of ``filter_record``,
+which the local and global estimators run; the two must agree to
+rounding.  It computes each NIS itself, by a plain solve with the
+innovation covariance R + P_prior.  Since
 ``KalmanEstimator`` shares its covariance update with ``gain_schedule``,
 the covariance recursion is checked on its own against
 ``covariance_oracle`` and ``riccati_oracle``, written here with plain
@@ -19,15 +21,19 @@ from scipy.linalg import solve_discrete_are
 def step_oracle(kf, z, u):
     """Estimates and NIS of ``kf`` over a record: sample 0 initializes from
     ``z[0]``, then each sample k predicts with ``u[k-1]`` and updates with
-    ``z[k]``."""
+    ``z[k]``.  The NIS of update k is d^T S^-1 d, for the innovation
+    d = z[k] - x_prior and S = R + P_prior, read between the two."""
     x_hat = np.empty_like(z)
     nis = np.full(z.shape[0], np.nan)
     kf.x_hat = z[0].copy()
     x_hat[0] = kf.x_hat
     for k in range(1, z.shape[0]):
-        kf.step(u[k - 1], z[k])
+        kf.predict(u[k - 1])
+        d = z[k] - kf.x_hat
+        s = kf.r + kf.p
+        kf.update(z[k])
         x_hat[k] = kf.x_hat
-        nis[k] = kf.nis
+        nis[k] = d @ np.linalg.solve(s, d)
     return x_hat, nis
 
 

@@ -8,8 +8,11 @@ the same law, clip and conditional anti-windup per sample from the bus
 quantities, independently of those matrices.  Its equilibrium start is
 derived by hand from the steady-state circuit relations
 (``regulated_equilibrium`` here), where the simulator solves for its
-loop's fixed point.  The two simulators must agree to rounding, draw the
-same noise in the same order and stop at the same sample.
+loop's fixed point.  ``steady_state_residual_dgu``/``_line`` write the
+same relations as residuals, which check operating points solved from
+the models of ``microdse.models``.  The two simulators must agree to
+rounding, draw the same noise in the same order and stop at the same
+sample.
 """
 
 from __future__ import annotations
@@ -17,7 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from microdse.discretize import discretize_exact
-from microdse.models import MicrogridTopology, build_coupled_plant, dgu_input_labels
+from microdse.models import (
+    DguParams,
+    LineParams,
+    MicrogridTopology,
+    build_coupled_plant,
+    dgu_input_labels,
+)
 from microdse.sim import (
     RegulatorConfig,
     SimConfig,
@@ -79,6 +88,38 @@ def regulated_equilibrium(
     x[lines[0::2]] = i_line_d
     x[lines[1::2]] = i_line_q
     return x, integ_d, integ_q, np.column_stack([v_td, v_tq])
+
+
+def steady_state_residual_dgu(
+    x: np.ndarray, u: np.ndarray, p: DguParams, omega: float
+) -> np.ndarray:
+    """Residuals of the DGU steady-state relations at the state
+    [v_d, v_q, i_td, i_tq] and input [v_td, v_tq, i_od, i_oq]; zero iff
+    (x, u) is an equilibrium.  Components: the series-branch voltage
+    balance (d, q), then the capacitor current balance (d, q)."""
+    v_d, v_q, i_td, i_tq = x
+    v_td, v_tq, i_od, i_oq = u
+    wl = omega * p.l_t
+    wc = omega * p.c_t
+    return np.array(
+        [
+            v_td - v_d - p.r_t * i_td + wl * i_tq,
+            v_tq - v_q - p.r_t * i_tq - wl * i_td,
+            i_td - i_od + wc * v_q,
+            i_tq - i_oq - wc * v_d,
+        ]
+    )
+
+
+def steady_state_residual_line(
+    i: np.ndarray, v_i: np.ndarray, v_j: np.ndarray, p: LineParams, omega: float
+) -> np.ndarray:
+    """Residual of the line steady-state relation for the current [i_d, i_q]
+    between endpoint voltages ``v_i`` and ``v_j`` (each [d, q]); zero iff
+    the current balances the voltage drop."""
+    wl = omega * p.l
+    dv = v_i - v_j
+    return np.array([dv[0] - p.r * i[0] + wl * i[1], dv[1] - p.r * i[1] - wl * i[0]])
 
 
 class VoltageRegulator:

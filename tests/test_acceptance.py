@@ -7,10 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from sim_oracle import steady_state_residual_dgu, steady_state_residual_line
 
 import microdse as m
 from microdse import (
-    DqSample,
     KalmanEstimator,
     NoiseSpec,
     build_coupled_plant,
@@ -20,14 +20,12 @@ from microdse import (
     discretize_exact,
     downsample,
     effective_process_noise,
-    innovation_consistency,
     matrix_exponential,
     run_locals,
     run_plant,
-    steady_state_residual_dgu,
-    steady_state_residual_line,
 )
 from microdse.cli import main as cli_main
+from microdse.kalman import filter_record
 from microdse.pipeline import build_local_estimators
 
 CRITERION_CHANNELS = ("v_d1", "v_q1", "i_td1", "i_tq1", "i_d12", "i_q12")
@@ -95,13 +93,8 @@ def test_criterion_3_equilibrium_consistency(reference_topology):
         worst = max(worst, np.abs(res).max())
     for j, line in enumerate(topo.lines):
         fi, ti = line.from_bus - 1, line.to_bus - 1
-        res = steady_state_residual_line(
-            DqSample(*i_line[j]),
-            DqSample(x_star[4 * fi], x_star[4 * fi + 1]),
-            DqSample(x_star[4 * ti], x_star[4 * ti + 1]),
-            line,
-            topo.omega,
-        )
+        v_i, v_j = x_star[4 * fi : 4 * fi + 2], x_star[4 * ti : 4 * ti + 2]
+        res = steady_state_residual_line(i_line[j], v_i, v_j, line, topo.omega)
         worst = max(worst, np.abs(res).max())
     residual_ok = worst < 1e-9
 
@@ -288,19 +281,16 @@ def test_criterion_8_filter_consistency(reference_topology):
     disc = discretize_exact(build_dgu_model(reference_topology.dgus[0], reference_topology.omega), 1e-4)
     q = np.diag([0.25, 0.25, 0.25, 0.25])
     r = np.diag([900.0, 900.0, 400.0, 400.0])
-    est = KalmanEstimator(disc, q_eff=q, r=r)
     rng = np.random.default_rng(77)
-    u = np.array([11000.0, 100.0, 150.0, 30.0])
-    x = np.zeros(4)
     steps = 10_000
-    innovations = np.empty((steps, 4))
-    covs = np.empty((steps, 4, 4))
+    u = np.tile([11000.0, 100.0, 150.0, 30.0], (steps, 1))
+    x = np.zeros(4)
+    z = np.empty((steps, 4))
     for k in range(steps):
-        x = disc.a_d @ x + disc.b_d @ u + rng.multivariate_normal(np.zeros(4), q)
-        z = x + rng.multivariate_normal(np.zeros(4), r)
-        innovations[k], _ = est.step(u, z)
-        covs[k] = est.innovation_cov
-    stat = innovation_consistency(innovations, covs)
+        x = disc.a_d @ x + disc.b_d @ u[k] + rng.multivariate_normal(np.zeros(4), q)
+        z[k] = x + rng.multivariate_normal(np.zeros(4), r)
+    _, nis = filter_record([KalmanEstimator(disc, q_eff=q, r=r)], z[:, None], u[:, None])
+    stat = float(nis[0, 1:].mean())
     ok = 0.75 * 4 <= stat <= 1.25 * 4
     _report(8, f"normalized innovation squared = {stat:.3f} in [3, 5]", ok)
     assert ok, stat

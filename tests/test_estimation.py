@@ -223,7 +223,7 @@ def test_global_estimator_matches_step_oracle(reference_scenario, case):
     result = m.estimate_scenario(scn, trace)
     kf = result.global_estimator.kf
     n = len(result.global_estimate)
-    stack = [mat[None] for mat in (kf.model.a_d, kf.q_eff, kf.r, kf.r)]
+    stack = [mat[None] for mat in (kf.model.a_d, kf.q_eff, kf.r, kf.p)]
     updates = gain_schedule(*stack, n - 1)[0].gains.shape[0]
     # the record holds the whole gain schedule plus a steady-gain stretch
     assert updates < n - 1
@@ -246,6 +246,21 @@ def test_no_production_path_steps_per_sample(reference_scenario, monkeypatch):
     result = m.estimate_scenario(scn, m.simulate_scenario(scn))
     assert len(result.global_estimate) == 11
     assert np.isfinite(result.global_estimate.x_hat).all()
+
+
+def test_a_second_run_on_the_same_estimators_gives_the_same_bits(reference_scenario):
+    sim = dataclasses.replace(reference_scenario.sim, duration_s=0.2, events=EventSchedule())
+    scn = dataclasses.replace(reference_scenario, sim=sim)
+    result = m.estimate_scenario(scn, m.simulate_scenario(scn))
+    again = run_locals(result.local_estimators, result.local_trace)
+    for bus, first in result.local_estimates.items():
+        np.testing.assert_array_equal(again[bus].x_hat, first.x_hat)
+        np.testing.assert_array_equal(again[bus].nis, first.nis)
+    rate = result.global_estimator.rate_hz
+    ticks = {bus: downsample(tr, rate) for bus, tr in result.local_estimates.items()}
+    again = run_global(result.global_estimator, ticks, result.global_trace)
+    np.testing.assert_array_equal(again.x_hat, result.global_estimate.x_hat)
+    np.testing.assert_array_equal(again.nis, result.global_estimate.nis)
 
 
 def test_local_runs_are_schedule_independent(reference_scenario):

@@ -2,19 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from sim_oracle import steady_state_residual_dgu, steady_state_residual_line
 
 from microdse import (
     DguParams,
-    DqSample,
     LineParams,
     MicrogridTopology,
     build_coupled_plant,
     build_dgu_model,
     build_line_model,
     discretize_exact,
-    power_flow,
-    steady_state_residual_dgu,
-    steady_state_residual_line,
 )
 
 OMEGA_60 = 2 * math.pi * 60.0
@@ -201,22 +198,6 @@ def test_coupled_plant_decouples_with_huge_line_resistance():
         assert np.abs(x[4 * k : 4 * k + 4] - xs[k]).max() / scale < 1e-6
 
 
-def test_power_flow_examples():
-    assert power_flow(DqSample(1, 0), DqSample(1, 0)) == (1.5, 0.0)
-    assert power_flow(DqSample(0, 1), DqSample(1, 0)) == (0.0, 1.5)
-    p, q = power_flow(DqSample(2, 1), DqSample(3, -1))
-    assert p == pytest.approx(10.5)
-    assert q == pytest.approx(1.5)
-
-
-def test_power_flow_bilinear_in_voltage():
-    v, i = DqSample(2.0, -1.5), DqSample(0.7, 3.0)
-    p1, q1 = power_flow(v, i)
-    p2, q2 = power_flow(DqSample(3 * v.d, 3 * v.q), i)
-    assert p2 == pytest.approx(3 * p1)
-    assert q2 == pytest.approx(3 * q1)
-
-
 def test_dgu_residual_zero_at_origin():
     res = steady_state_residual_dgu(np.zeros(4), np.zeros(4), DGU1, OMEGA_60)
     np.testing.assert_array_equal(res, np.zeros(4))
@@ -245,29 +226,20 @@ def test_dgu_residual_linear_in_voltage_perturbation():
 
 
 def test_line_residual_zero_and_equilibrium():
-    res = steady_state_residual_line(
-        DqSample(0, 0), DqSample(0, 0), DqSample(0, 0), LINE12, OMEGA_60
-    )
+    zero = np.zeros(2)
+    res = steady_state_residual_line(zero, zero, zero, LINE12, OMEGA_60)
     np.testing.assert_array_equal(res, np.zeros(2))
-    v_i, v_j = DqSample(11000.0, 140.0), DqSample(10950.0, 130.0)
+    v_i, v_j = np.array([11000.0, 140.0]), np.array([10950.0, 130.0])
     wl = OMEGA_60 * LINE12.l
     z = np.array([[LINE12.r, -wl], [wl, LINE12.r]])
-    i_sol = np.linalg.solve(z, np.array([v_i.d - v_j.d, v_i.q - v_j.q]))
-    res = steady_state_residual_line(
-        DqSample(i_sol[0], i_sol[1]), v_i, v_j, LINE12, OMEGA_60
-    )
+    i_sol = np.linalg.solve(z, v_i - v_j)
+    res = steady_state_residual_line(i_sol, v_i, v_j, LINE12, OMEGA_60)
     assert np.abs(res).max() < 1e-9
 
 
 def test_line_residual_is_affine():
-    v_i, v_j = DqSample(20.0, -4.0), DqSample(12.0, 3.0)
-    i = DqSample(5.0, 1.0)
+    v_i, v_j = np.array([20.0, -4.0]), np.array([12.0, 3.0])
+    i = np.array([5.0, 1.0])
     r1 = steady_state_residual_line(i, v_i, v_j, LINE12, OMEGA_60)
-    r2 = steady_state_residual_line(
-        DqSample(2 * i.d, 2 * i.q),
-        DqSample(2 * v_i.d, 2 * v_i.q),
-        DqSample(2 * v_j.d, 2 * v_j.q),
-        LINE12,
-        OMEGA_60,
-    )
+    r2 = steady_state_residual_line(2 * i, 2 * v_i, 2 * v_j, LINE12, OMEGA_60)
     np.testing.assert_allclose(r2, 2 * r1, rtol=1e-12)
