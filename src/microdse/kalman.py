@@ -201,6 +201,9 @@ class KalmanEstimator:
     """Stateful predict/update recursion over a discrete LTI model with
     process covariance ``q_eff`` and measurement covariance ``r``; the
     initial estimate ``x0`` defaults to zero and its covariance ``p0`` to r.
+    ``x0`` (and so ``x_hat``) serves only the per-step ``predict``/
+    ``update``/``step`` path: ``filter_record`` starts every estimate from
+    the record's first measurement and never reads it.
 
     One instance is owned by exactly one caller at a time; distinct
     instances are fully independent.

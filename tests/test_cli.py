@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 import microdse as m
 from microdse.cli import main
+from microdse import traceio
 from microdse.traceio import read_csv, write_csv
 
 
@@ -179,6 +181,142 @@ def test_csv_text_matches_per_value_format(tmp_path, rows):
     path = tmp_path / "trace.csv"
     write_csv(path, t, cols)
     assert path.read_bytes() == _per_value_csv(t, cols).encode()
+
+
+def _record_forks(monkeypatch, cpus):
+    """Give ``traceio`` ``cpus`` usable CPUs; the pids of the workers it forks."""
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
+    pids = []
+    fork = traceio._fork
+
+    def recorded(*args):
+        pids.append(fork(*args))
+        return pids[-1]
+
+    monkeypatch.setattr(traceio, "_fork", recorded)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+SPLIT = 2 * traceio._MIN_PART_ROWS
+
+
+@pytest.mark.parametrize(
+    "rows, cpus",
+    [(SPLIT - 1, 2), (SPLIT, 2), (SPLIT + 1, 2), (3 * traceio._MIN_PART_ROWS + 1, 3)],
+    ids=["below-split", "at-split", "above-split", "three-parts"],
+)
+def test_csv_written_in_parts_matches_per_value_format(tmp_path, monkeypatch, rows, cpus):
+    pids = _record_forks(monkeypatch, cpus)
+    edge = np.resize([-0.0, 5e-324, 1e16, np.nan, np.inf, -np.inf, 0.1], rows)
+    t = np.arange(rows) * 1e-4
+    cols = {"edge": edge, "reversed": edge[::-1].copy(), "third": edge / 3.0}
+    path = tmp_path / "trace.csv"
+    write_csv(path, t, cols)
+    assert len(pids) == rows // traceio._MIN_PART_ROWS - 1
+    assert path.read_bytes() == _per_value_csv(t, cols).encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+    _assert_reaped(pids)
+
+
+def _large_csv_lines(n_rows, comments=True):
+    """Data lines of a three-column trace of ``n_rows`` rows, with a blank
+    line, a comment line and a trailing comment (if ``comments``) every few
+    rows, so that each of them sits next to every cut."""
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
+    values[:, 0] = 1.0 + np.arange(n_rows) * 1e-4
+    values[::97, 1] = np.nan
+    values[::89, 2] = -0.0
+    lines = []
+    for k, row in enumerate(values.tolist()):
+        line = ",".join(map(repr, row))
+        lines.append(line + "  # trailing" if comments and k % 7 == 3 else line)
+        if k % 5 == 1:
+            lines.extend(["", "# comment, 1.0"] if comments else [""])
+    return lines
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("final_newline", [True, False], ids=["final-newline", "no-final-newline"])
+def test_csv_read_in_parts_matches_one_loadtxt(tmp_path, monkeypatch, newline, final_newline):
+    pids = _record_forks(monkeypatch, 3)
+    text = newline.join(["t,a,b", *_large_csv_lines(60000)]) + newline * final_newline
+    path = tmp_path / "large.csv"
+    path.write_bytes(text.encode())
+    assert len(text) > 3 * traceio._MIN_PART_BYTES
+    parse_in_parts = traceio._parse_in_parts
+    from_parts = []
+    monkeypatch.setattr(
+        traceio, "_parse_in_parts",
+        lambda *args: from_parts.append(parse_in_parts(*args)) or from_parts[-1],
+    )
+    t, cols = read_csv(path)
+    assert len(pids) == 2
+    _assert_reaped(pids)
+    assert from_parts[0] is not None  # not the serial parse after a failed part
+    expected = np.loadtxt(path, delimiter=",", skiprows=1)
+    got = np.column_stack([t, *cols.values()])
+    assert got.shape == expected.shape == (60000, 3)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [("0.5,abc,1.0", "could not convert string to float: 'abc'"),
+     ("0.5,1.0", "has 2 columns, the header has 3")],
+    ids=["non-numeric", "ragged"],
+)
+def test_csv_read_in_parts_fails_like_the_serial_read(tmp_path, monkeypatch, bad_line, message):
+    lines = _large_csv_lines(40000, comments=False)
+    lines[-10] = bad_line
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["t,a,b", *lines]) + "\n")
+    assert path.stat().st_size > 2 * traceio._MIN_PART_BYTES
+    errors = []
+    for cpus in (2, 1):
+        pids = _record_forks(monkeypatch, cpus)
+        with pytest.raises(ValueError, match=message) as exc:
+            read_csv(path)
+        assert len(pids) == cpus - 1
+        _assert_reaped(pids)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert f"line {len(lines) - 8}" in errors[0]
+
+
+@pytest.mark.parametrize("fails", ["worker", "caller"])
+def test_csv_write_in_parts_fails_without_leftovers(tmp_path, monkeypatch, fails):
+    pids = _record_forks(monkeypatch, 2)
+    write_rows = traceio._write_rows
+
+    def failing(fh, t, arrays, start, stop):
+        if start > 0 and fails == "worker":
+            raise OSError("formatter failed")
+        if start > 0 and fails == "caller":
+            time.sleep(30)  # a worker still busy when the caller fails
+        if start == 0 and fails == "caller":
+            raise KeyboardInterrupt
+        write_rows(fh, t, arrays, start, stop)
+
+    monkeypatch.setattr(traceio, "_write_rows", failing)
+    rows = 2 * traceio._MIN_PART_ROWS
+    raised = OSError if fails == "worker" else KeyboardInterrupt
+    began = time.monotonic()
+    with pytest.raises(raised) as exc:
+        write_csv(tmp_path / "trace.csv", np.zeros(rows), {"a": np.ones(rows)})
+    if fails == "worker":
+        assert f"rows {traceio._MIN_PART_ROWS} to {rows - 1}" in str(exc.value)
+    else:
+        assert time.monotonic() - began < 10  # the busy worker was stopped, not awaited
+    assert len(pids) == 1
+    _assert_reaped(pids)
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
 
 def test_header_only_csv_reads_as_empty_columns(tmp_path):
