@@ -195,12 +195,9 @@ class _ByteRange(io.RawIOBase):
 def _parse(fh, start: int, stop: int, n_columns: int) -> np.ndarray:
     """Rows in bytes ``start`` up to ``stop`` of ``fh``'s file, decoded as
     ``fh`` decodes; a ``ValueError`` unless each holds ``n_columns`` numbers."""
-    text = io.TextIOWrapper(
-        io.BufferedReader(_ByteRange(fh.fileno(), start, stop)),
-        encoding=fh.encoding,
-        errors=fh.errors,
-    )
-    rows = np.loadtxt(text, delimiter=",", ndmin=2)
+    raw = _ByteRange(fh.fileno(), start, stop)
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding=fh.encoding, errors=fh.errors) as text:
+        rows = np.loadtxt(text, delimiter=",", ndmin=2)
     if rows.size == 0:
         return np.empty((0, n_columns))
     if rows.shape[1] != n_columns:
