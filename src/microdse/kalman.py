@@ -27,15 +27,16 @@ doubling algorithm (SDA; Anderson, Int. J. Control 1978; Lin & Xu, SIAM
 J. Matrix Anal. Appl. 2006) in a few dozen matrix products.
 
 None of this work reads a measurement, so a process does it once per
-content: the schedules of ``filter_record`` (through ``schedules_of``) and
-the steady posteriors come from one small LRU memo keyed on the exact
-bytes and shapes of the model and noise matrices (``_data_free``), and
-are returned read-only.  Runs with the same model and noise, such as
-Monte Carlo seeds, then share them.  An estimation run looks up N + 2
-entries, the steady posterior of each of its N buses plus the local and
-the global schedules, so the 8-entry memo serves grids of up to six
-buses; on larger grids each run evicts what the next one needs, and the
-memo never hits.
+content.  The schedule stays one read-only stack (B, M, n, n), in the
+shape it is computed in and that the state pass reads, and each kind of
+work has its own LRU cache, keyed on the exact bytes and shapes of the
+model and noise matrices (``_content_key``): ``_schedules`` holds 8
+stacked schedules for ``schedules_of``, and ``_steady`` 1 024 steady
+posteriors for ``steady_state_covariance``.  Runs with the same model and
+noise, such as Monte Carlo seeds, then share them.  An estimation run of
+N buses looks up two schedules (local and global) and N steady
+posteriors, so on the 30-bus benchmark mesh every run after the first
+hits all 32 lookups.
 ``KalmanEstimator`` holds one filter's validated model, noise and
 initial estimate, which ``filter_record`` reads and never changes.  Its
 per-step ``predict``/``update``/``step`` are the same recursion one
@@ -269,19 +270,23 @@ class KalmanEstimator:
 
 @dataclass(frozen=True)
 class GainSchedule:
-    """Gains of the first updates of one filter's recursion, which depend
-    on no data.
+    """The first updates of the recursions of a stack of B filters, which
+    depend on no data; every array is read-only.
 
-    ``gains[k]`` and ``s_inv[k]`` are the gain and the inverse innovation
-    covariance of update k + 1; ``p`` is the posterior covariance after
-    the last of them.  When ``converged``, that posterior agrees with the
-    one before it, and the last gain serves every later update.
+    Filter i's schedule is ``lengths[i]`` updates long: ``gains[i, k]`` and
+    ``s_inv[i, k]`` (B, M, n, n), M the longest length, are the gain and
+    the inverse innovation covariance of its update k + 1, for
+    k < ``lengths[i]``, and its later rows are never read.  ``p[i]`` is
+    its posterior covariance after the last of them.  When
+    ``converged[i]``, that posterior agrees with the one before it, and
+    the last gain serves every later update.
     """
 
     gains: np.ndarray
     s_inv: np.ndarray
+    lengths: np.ndarray
     p: np.ndarray
-    converged: bool
+    converged: np.ndarray
 
 
 #: Updates per filter that ``gain_schedule`` first makes room for; the
@@ -291,7 +296,7 @@ _SCHEDULE_ROWS = 64
 
 def gain_schedule(
     a_d: np.ndarray, q_eff: np.ndarray, r: np.ndarray, p0: np.ndarray, max_steps: int
-) -> list[GainSchedule]:
+) -> GainSchedule:
     """Covariance layer of B independent filters at once.
 
     ``a_d``, ``q_eff``, ``r`` and ``p0`` are stacks (B, n, n): filter i
@@ -303,7 +308,9 @@ def gain_schedule(
     other filters.  The arithmetic is the same for every B, so a filter run
     alone (B = 1) gets the same schedule bit for bit as in any stack.
 
-    Returns one ``GainSchedule`` per filter, in stack order.  Raises
+    Returns the stack's schedule, read-only and in stack order, each
+    filter's rows one contiguous block; ``schedules_of`` caches it whole,
+    one entry per stack.  Raises
     ``CovarianceError`` for the filter whose innovation covariance fails
     at the earliest update; of several failing at that update, the first
     in the stack is reported.
@@ -311,7 +318,6 @@ def gain_schedule(
     a_d, q_eff, r, p = (np.asarray(m, dtype=float) for m in (a_d, q_eff, r, p0))
     n_filters, n = a_d.shape[:2]
     active = np.arange(n_filters)
-    # filter-major, so that each filter's schedule is one contiguous block
     gains = np.empty((n_filters, min(max_steps, _SCHEDULE_ROWS), n, n))
     s_invs = np.empty_like(gains)
     lengths = np.zeros(n_filters, dtype=int)
@@ -342,15 +348,12 @@ def gain_schedule(
                 break
     lengths[active] = max_steps
     final_p[active] = p
-    return [
-        GainSchedule(
-            gains=gains[i, : lengths[i]],
-            s_inv=s_invs[i, : lengths[i]],
-            p=final_p[i],
-            converged=bool(converged[i]),
-        )
-        for i in range(n_filters)
-    ]
+    # a cached schedule then holds no rows past the longest filter's
+    rows = lengths.max(initial=0)
+    gains, s_invs = gains[:, :rows].copy(), s_invs[:, :rows].copy()
+    for m in (gains, s_invs, lengths, final_p, converged):
+        m.setflags(write=False)
+    return GainSchedule(gains, s_invs, lengths, final_p, converged)
 
 
 def _extended(buf: np.ndarray, rows: int) -> np.ndarray:
@@ -428,49 +431,38 @@ def _linear_recursion(
     return x
 
 
-def schedules_of(
-    estimators: list[KalmanEstimator], max_steps: int
-) -> list[GainSchedule]:
+def schedules_of(estimators: list[KalmanEstimator], max_steps: int) -> GainSchedule:
     """``gain_schedule`` of the estimators, stacked, from their covariances
-    ``p``; read-only, and computed once per content."""
-    return list(
-        _memoized(
-            max_steps,
+    ``p``; computed once per content."""
+    return _schedules(
+        max_steps,
+        *_content_key(
             [kf.model.a_d for kf in estimators],
             [kf.q_eff for kf in estimators],
             [kf.r for kf in estimators],
             [kf.p for kf in estimators],
-        )
+        ),
     )
 
 
-def _memoized(max_steps: int | None, *matrices) -> tuple | np.ndarray:
-    """``_data_free`` on the float stacks ``matrices``, keyed on their content."""
-    stacks = [np.asarray(m, dtype=float) for m in matrices]
-    return _data_free(max_steps, tuple(m.shape for m in stacks), *(m.tobytes() for m in stacks))
+def _content_key(*matrices) -> tuple:
+    """The shapes and the bytes of the float arrays ``matrices``: a cache
+    key under which equal inputs built separately meet and one changed bit
+    does not."""
+    arrays = [np.asarray(m, dtype=float) for m in matrices]
+    return (tuple(m.shape for m in arrays), *(m.tobytes() for m in arrays))
+
+
+def _from_key(shapes: tuple, blobs: tuple) -> list[np.ndarray]:
+    """The read-only arrays of a ``_content_key``."""
+    return [np.frombuffer(b).reshape(s) for b, s in zip(blobs, shapes)]
 
 
 @functools.lru_cache(maxsize=8)
-def _data_free(max_steps: int | None, shapes: tuple, *blobs: bytes) -> tuple | np.ndarray:
-    """The data-free work on the float arrays of ``shapes`` whose bytes are
-    ``blobs``, with every array read-only: for a ``max_steps``, the
-    ``gain_schedule`` of the stacks (a_d, q_eff, r, p0) as a tuple; for
-    None, the steady posterior of (a_d, q_eff, r).
-
-    The key is the exact content, so equal inputs built separately share
-    an entry and one changed bit misses it.  A failure raises and is not
-    cached.
-    """
-    matrices = [np.frombuffer(b).reshape(s) for b, s in zip(blobs, shapes)]
-    if max_steps is None:
-        out = _steady_posterior(*matrices)
-        out.setflags(write=False)
-        return out
-    schedules = tuple(gain_schedule(*matrices, max_steps))
-    for sched in schedules:
-        for m in (sched.gains, sched.s_inv, sched.p):
-            m.setflags(write=False)
-    return schedules
+def _schedules(max_steps: int, shapes: tuple, *blobs: bytes) -> GainSchedule:
+    """``gain_schedule`` of the stacks (a_d, q_eff, r, p0) of a
+    ``_content_key``.  A failure raises and is not cached."""
+    return gain_schedule(*_from_key(shapes, blobs), max_steps)
 
 
 def filter_record(
@@ -518,40 +510,38 @@ def filter_record(
     if z.shape[0] == 0:
         raise ValueError("empty record")
     index = np.arange(len(filters)) if index is None else np.asarray(index)
-    schedules = schedules_of(filters, z.shape[0] - 1)
-    cuts = np.array([s.gains.shape[0] for s in schedules])
+    sched = schedules_of(filters, z.shape[0] - 1)
     # longest schedule first: the filters inside their schedules at an
     # update, and those whose tails still run in a segment, are then a
     # prefix and a suffix of ``order``
-    order = np.argsort(-cuts, kind="stable")
+    order = np.argsort(-sched.lengths, kind="stable")
+    a_d = np.array([kf.model.a_d for kf in filters])
+    b_d = np.array([kf.model.b_d for kf in filters])
     x_hat = np.empty((len(filters), z.shape[0], z.shape[2]))
     nis = np.full(x_hat.shape[:2], np.nan)
     x_hat[:, 0] = z[0, index]
-    _schedule_segment(filters, schedules, order, z, u, index, x_hat, nis)
-    _steady_tails(filters, schedules, order, z, u, index, x_hat, nis)
+    _schedule_segment(sched, a_d, b_d, order, z, u, index, x_hat, nis)
+    _steady_tails(sched, a_d, b_d, order, z, u, index, x_hat, nis)
     return x_hat, nis
 
 
-def _schedule_segment(filters, schedules, order, z, u, index, x_hat, nis):
+def _schedule_segment(sched, a_d, b_d, order, z, u, index, x_hat, nis):
     """Updates 1..max m_i of ``filter_record``, one sample at a time, each
     for the filters whose schedules reach it, in chunks of updates of at
     most ``_SEGMENT_VALUES`` gain values."""
-    cuts = np.array([schedules[i].gains.shape[0] for i in order])
+    cuts = sched.lengths[order]
     steps = int(cuts[0])
     n_filters, _, n = x_hat.shape
     # filters inside their schedules at update k: order[:active[k - 1]]
     active = np.searchsorted(-cuts, -np.arange(1, steps + 1), side="right")
-    a_d = np.array([filters[i].model.a_d for i in order])
-    b_dt = _right_factor(np.array([filters[i].model.b_d for i in order]))
+    a_d = a_d[order]
+    b_dt = _right_factor(b_d[order])
     chunk = max(2, _SEGMENT_VALUES // (n_filters * n * n))
     x = x_hat[order, 0]
     for k0 in range(0, steps, chunk):
         k1 = min(steps, k0 + chunk)
         live = order[: active[k0]]
-        gains = np.empty((k1 - k0, live.size, n, n))
-        for j, i in enumerate(live):
-            g = schedules[i].gains[k0:k1]
-            gains[: len(g), j] = g
+        gains = sched.gains[live, k0:k1].swapaxes(0, 1)
         zs = z[k0 + 1 : k1 + 1, index[live]]
         # B u as the rows of one matrix product per filter, of at least
         # two rows
@@ -567,35 +557,28 @@ def _schedule_segment(filters, schedules, order, z, u, index, x_hat, nis):
         for j, i in enumerate(live):
             d = innovation[: min(cuts[j], k1) - k0, j]
             nis[i, k0 + 1 : k0 + 1 + len(d)] = np.einsum(
-                "ki,kij,kj->k", d, schedules[i].s_inv[k0 : k0 + len(d)], d
+                "ki,kij,kj->k", d, sched.s_inv[i, k0 : k0 + len(d)], d
             )
 
 
-def _steady_tails(filters, schedules, order, z, u, index, x_hat, nis):
+def _steady_tails(sched, a_d, b_d, order, z, u, index, x_hat, nis):
     """The records of ``filter_record`` after each filter's cut, as one
     stack of linear recursions run a segment at a time."""
     n_rec, n = x_hat.shape[1:]
-    cuts = np.array([schedules[i].gains.shape[0] for i in order])
+    cuts = sched.lengths[order]
     # ascending, since ``order`` sorts the cuts descending
     tails = n_rec - 1 - cuts
     order, cuts, tails = (a[tails > 0] for a in (order, cuts, tails))
     if not order.size:
         return
-    a_d = np.array([filters[i].model.a_d for i in order])
-    k_inf = np.array([schedules[i].gains[-1] for i in order])
+    a_d = a_d[order]
+    k_inf = sched.gains[order, cuts - 1]
     i_k = np.eye(n) - k_inf
     f = i_k @ a_d
     f_block = np.linalg.matrix_power(f, _BLOCK)
     # right factors of the row products below
     a_dt, b_dt, k_t, i_kt, s_inv_t = (
-        _right_factor(m)
-        for m in (
-            a_d,
-            np.array([filters[i].model.b_d for i in order]),
-            k_inf,
-            i_k,
-            np.array([schedules[i].s_inv[-1] for i in order]),
-        )
+        _right_factor(m) for m in (a_d, b_d[order], k_inf, i_k, sched.s_inv[order, cuts - 1])
     )
     # at least two blocks, so that no block pass multiplies a single row
     seg_blocks = max(2, _SEGMENT_VALUES // (order.size * n * _BLOCK))
@@ -649,7 +632,16 @@ def steady_state_covariance(
     ``CovarianceError`` where the doubling finds no stabilizing solution,
     for instance for Q_eff = 0 with an unstable A_d.
     """
-    return _memoized(None, a_d, q_eff, r)
+    return _steady(*_content_key(a_d, q_eff, r))
+
+
+@functools.lru_cache(maxsize=1024)
+def _steady(shapes: tuple, *blobs: bytes) -> np.ndarray:
+    """``_steady_posterior`` of the (a_d, q_eff, r) of a ``_content_key``,
+    read-only.  A failure raises and is not cached."""
+    out = _steady_posterior(*_from_key(shapes, blobs))
+    out.setflags(write=False)
+    return out
 
 
 #: Doubling steps of ``_steady_posterior`` before it gives up: 2^64

@@ -159,11 +159,13 @@ def write_csv(path: str | Path, t: np.ndarray, columns: dict[str, np.ndarray]) -
 
 
 def _bad_row(path: Path, n_columns: int) -> str | None:
-    """The first data line that does not hold ``n_columns`` numbers."""
+    """The first data line that does not hold ``n_columns`` numbers, by
+    ``np.loadtxt``'s rule: a line ends at its first ``#``, and a line left
+    empty holds no row."""
     with path.open() as fh:
         next(fh)
         for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\r\n").split(",")
+            fields = line.rstrip("\r\n").split("#", 1)[0].split(",")
             if fields == [""]:
                 continue
             if len(fields) != n_columns:

@@ -14,6 +14,8 @@ reference for the doubling of ``steady_state_covariance``.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.linalg import solve_discrete_are
 
@@ -66,9 +68,22 @@ def covariance_oracle(a, q, r, p0, steps):
     return gains, s_invs, posteriors
 
 
+def filter_schedule(sched, i=0):
+    """Filter i's part of a stacked ``GainSchedule``: its gains and inverse
+    innovation covariances up to its length, its final posterior and
+    whether it converged."""
+    m = sched.lengths[i]
+    return SimpleNamespace(
+        gains=sched.gains[i, :m],
+        s_inv=sched.s_inv[i, :m],
+        p=sched.p[i],
+        converged=bool(sched.converged[i]),
+    )
+
+
 def assert_schedule_matches_oracle(schedule, a, q, r, p0):
-    """The gains, inverse innovation covariances and final posterior of a
-    ``GainSchedule`` against ``covariance_oracle``."""
+    """The gains, inverse innovation covariances and final posterior of
+    one filter's ``filter_schedule`` against ``covariance_oracle``."""
     steps = schedule.gains.shape[0]
     gains, s_invs, posteriors = covariance_oracle(a, q, r, p0, steps)
     assert_close(schedule.gains, gains)

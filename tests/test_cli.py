@@ -341,6 +341,13 @@ def test_csv_ragged_row_names_the_line(tmp_path):
     path.write_text("t,a\n0.0,1.0\n0.1,abc\n")
     with pytest.raises(ValueError, match="line 3"):
         read_csv(path)
+    # a comment holds no columns, on a line of its own or after a row
+    path.write_text("t,a,b\n1,2,3\n\n# comment, 1.0\n4,5,6\n0.5,abc,1.0\n")
+    with pytest.raises(ValueError, match="line 6: could not convert string to float: 'abc'"):
+        read_csv(path)
+    path.write_text("t,a,b\n1,2,3 # note, x\n4,5\n")
+    with pytest.raises(ValueError, match="line 3 has 2 columns, the header has 3"):
+        read_csv(path)
 
 
 @pytest.mark.parametrize("header", ["t,v_d1,v_d1", "t,a,t"])
@@ -426,6 +433,30 @@ def test_estimate_end_to_end_with_metrics(short_config, tmp_path):
             assert w["improvement_ratio"] is not None
     assert metrics["innovation"]["local_bus1"]["dim"] == 4
     assert metrics["tracking"]["local_bus1"][0]["recovery_time_s"] is not None
+
+
+def test_estimate_with_euler_discretization(short_config, tmp_path):
+    """The estimators on the Euler models: the run exits 0 with finite
+    metrics (a NaN reaching numpy fails it through the RuntimeWarning
+    filter), and its estimates differ from those on the exact models."""
+    sim = tmp_path / "sim"
+    common = ["--config", short_config, "--duration", 0.2, "--event-time", 0.1]
+    assert run_cli("simulate", *common, "--out", sim) == 0
+    traces = ["--truth", sim / "truth.csv", "--measurements", sim / "measurements.csv"]
+    for method in ("euler", "exact"):
+        out = tmp_path / method
+        assert run_cli("estimate", *common, *traces, "--out", out, "--discretization", method) == 0
+
+    def non_finite(token):
+        raise AssertionError(f"metrics.json holds {token}")
+
+    text = (tmp_path / "euler" / "metrics.json").read_text()
+    metrics = json.loads(text, parse_constant=non_finite)
+    assert metrics["channels"]["v_d1"]["windows"]
+    euler, exact = (
+        read_csv(tmp_path / method / "local_bus1.csv")[1]["v_d1"] for method in ("euler", "exact")
+    )
+    assert np.isfinite(euler).all() and not np.array_equal(euler, exact)
 
 
 def test_zero_noise_estimates_are_numerically_exact(tmp_path):

@@ -224,7 +224,7 @@ def test_global_estimator_matches_step_oracle(reference_scenario, case):
     kf = result.global_estimator.kf
     n = len(result.global_estimate)
     stack = [mat[None] for mat in (kf.model.a_d, kf.q_eff, kf.r, kf.p)]
-    updates = gain_schedule(*stack, n - 1)[0].gains.shape[0]
+    updates = gain_schedule(*stack, n - 1).lengths[0]
     # the record holds the whole gain schedule plus a steady-gain stretch
     assert updates < n - 1
     if case == "meshed":
@@ -331,15 +331,29 @@ def test_local_runs_are_order_independent_on_a_generated_mesh():
     rev = run_locals(build_local_estimators(scn)[::-1], trace)
     # the buses leave the stack at different updates, all inside the record
     stack = build_local_estimators(scn)
-    lengths = {
-        s.gains.shape[0] for s in schedules_of([est.kf for est in stack], len(trace) - 1)
-    }
+    lengths = set(schedules_of([est.kf for est in stack], len(trace) - 1).lengths)
     assert len(stack) == 10 and len(lengths) > 1 and max(lengths) < len(trace) - 1
     for est in build_local_estimators(scn):
         alone = run_locals([est], trace)[est.bus]
         for other in (batch[est.bus], rev[est.bus]):
             np.testing.assert_array_equal(alone.x_hat, other.x_hat)
             np.testing.assert_array_equal(alone.nis, other.nis)
+
+
+def test_repeated_runs_on_a_large_grid_reuse_all_data_free_work():
+    """On a grid of more than six buses, a second run of the same scenario
+    finds both gain schedules and every bus's steady posterior cached."""
+    scn = generated_mesh(seed=11)
+    trace = m.simulate_scenario(scn)
+    caches = (kalman._schedules, kalman._steady)
+    m.estimate_scenario(scn, trace)
+    before = [c.cache_info() for c in caches]
+    m.estimate_scenario(scn, trace)
+    after = [c.cache_info() for c in caches]
+    n_buses = len(build_local_estimators(scn))
+    assert n_buses > 6
+    lookups = [(a.hits - b.hits, a.misses - b.misses) for a, b in zip(after, before)]
+    assert lookups == [(2, 0), (n_buses, 0)]
 
 
 def test_local_runs_are_order_independent_across_segment_edges(monkeypatch):
@@ -350,10 +364,8 @@ def test_local_runs_are_order_independent_across_segment_edges(monkeypatch):
     monkeypatch.setattr(kalman, "_SEGMENT_VALUES", 2 * 10 * 4 * kalman._BLOCK)
     scn = generated_mesh(seed=11)
     trace = m.simulate_scenario(scn)
-    cuts = [
-        s.gains.shape[0]
-        for s in schedules_of([e.kf for e in build_local_estimators(scn)], len(trace) - 1)
-    ]
+    kfs = [e.kf for e in build_local_estimators(scn)]
+    cuts = schedules_of(kfs, len(trace) - 1).lengths
     assert min(len(trace) - 1 - c for c in cuts) > 2 * 2 * kalman._BLOCK
     batch = run_locals(build_local_estimators(scn), trace)
     rev = run_locals(build_local_estimators(scn)[::-1], trace)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from filter_oracle import (
     assert_close,
     assert_schedule_matches_oracle,
     dare_oracle,
+    filter_schedule,
     riccati_oracle,
     step_oracle,
 )
@@ -381,7 +383,7 @@ def _compare_with_oracle(seed, n, n_inputs, radius, steps):
     x_ref, nis_ref = step_oracle(oracle, z, u)
     assert_close(x_hat, x_ref)
     assert_close(nis[1:], nis_ref[1:])
-    schedule = schedules_of([split], steps - 1)[0]
+    schedule = filter_schedule(schedules_of([split], steps - 1))
     assert_close(schedule.p, oracle.p)
     assert_schedule_matches_oracle(schedule, model.a_d, q, r, p0)
     return schedule
@@ -405,7 +407,7 @@ def test_split_filter_matches_step_oracle(seed, n, n_inputs, radius, steps):
 @pytest.mark.parametrize("seed,radius", [(3, 0.9), (4, 0.9), (5, 0.999)])
 def test_split_filter_matches_oracle_on_both_sides_of_convergence(seed, radius):
     model, q, r, p0, _ = _random_filter(seed, 4, 2, radius)
-    converged_at = gain_schedule(*_stack(model.a_d, q, r, p0), 100_000)[0].gains.shape[0]
+    converged_at = gain_schedule(*_stack(model.a_d, q, r, p0), 100_000).lengths[0]
     assert 2 < converged_at < 5_000
     before = _compare_with_oracle(seed, 4, 2, radius, converged_at)
     assert not before.converged
@@ -427,7 +429,8 @@ def _compare_stack_with_oracle(filters, steps, rng):
     u = rng.standard_normal((steps, len(filters), n_inputs))
     split = fresh()
     x_hat, nis = filter_record(split, z, u)
-    schedules = schedules_of(split, steps - 1)
+    stacked = schedules_of(split, steps - 1)
+    schedules = [filter_schedule(stacked, i) for i in range(len(filters))]
     for i, (sched, oracle) in enumerate(zip(schedules, fresh())):
         x_ref, nis_ref = step_oracle(oracle, z[:, i], u[:, i])
         assert_close(x_hat[i], x_ref)
@@ -480,7 +483,7 @@ def test_stacked_pass_matches_step_oracle_around_cuts_and_segment_edges(
         _random_filter(seed + i, n, n_inputs, radii[i])[:4] for i in range(n_filters)
     ]
     cuts = sorted(
-        gain_schedule(*_stack(model.a_d, q, r, p0), 100_000)[0].gains.shape[0]
+        gain_schedule(*_stack(model.a_d, q, r, p0), 100_000).lengths[0]
         for model, q, r, p0 in filters
     )
     if end == "before":
@@ -501,7 +504,7 @@ def test_stack_cut_inside_some_schedules_equals_each_filter_alone():
         for seed, radius in ((3, 0.9), (4, 0.9), (5, 0.999))
     ]
     alone = [
-        gain_schedule(*_stack(model.a_d, q, r, p0), 100_000)[0]
+        filter_schedule(gain_schedule(*_stack(model.a_d, q, r, p0), 100_000))
         for model, q, r, p0 in filters
     ]
     lengths = [s.gains.shape[0] for s in alone]
@@ -543,7 +546,7 @@ def test_stacked_schedule_reports_the_earliest_failure_then_the_first_in_stack()
     assert failure(healthy, late)[:2] == (1, 5)
     assert failure(healthy, late, late)[:2] == (1, 5)
     assert failure(settled, late)[:2] == (1, 5)
-    assert gain_schedule(*_stack(*settled), 10)[0].gains.shape[0] < 5
+    assert gain_schedule(*_stack(*settled), 10).lengths[0] < 5
 
 
 @pytest.mark.parametrize("steps", [0, 1, 63, 64, 65, 128, 129, 1000])
@@ -638,69 +641,87 @@ def dgu_estimator():
     return KalmanEstimator(dgu_discrete(), q_eff=1e-2 * np.eye(4), r=np.eye(4))
 
 
+def _clear_caches():
+    kalman._schedules.cache_clear()
+    kalman._steady.cache_clear()
+
+
 def test_memo_hit_equals_a_cold_call():
-    kalman._data_free.cache_clear()
+    _clear_caches()
     kf = dgu_estimator()
-    cold = gain_schedule(*_stack(kf.model.a_d, kf.q_eff, kf.r, kf.p), 300)[0]
-    first = schedules_of([dgu_estimator()], 300)[0]
-    hit = schedules_of([dgu_estimator()], 300)[0]
-    assert kalman._data_free.cache_info().hits == 1
-    for sched in (first, hit):
+    cold = filter_schedule(gain_schedule(*_stack(kf.model.a_d, kf.q_eff, kf.r, kf.p), 300))
+    first = schedules_of([dgu_estimator()], 300)
+    hit = schedules_of([dgu_estimator()], 300)
+    assert kalman._schedules.cache_info()[:2] == (1, 1)
+    for sched in (filter_schedule(first), filter_schedule(hit)):
         np.testing.assert_array_equal(sched.gains, cold.gains)
         np.testing.assert_array_equal(sched.s_inv, cold.s_inv)
         np.testing.assert_array_equal(sched.p, cold.p)
         assert sched.converged == cold.converged
-    steady = steady_state_covariance(kf.model.a_d, kf.q_eff, kf.r)
-    np.testing.assert_array_equal(steady_state_covariance(kf.model.a_d, kf.q_eff, kf.r), steady)
-    assert kalman._data_free.cache_info().hits == 2
+    cold = kalman._steady_posterior(kf.model.a_d, kf.q_eff, kf.r)
+    for _ in range(2):
+        np.testing.assert_array_equal(steady_state_covariance(kf.model.a_d, kf.q_eff, kf.r), cold)
+    assert kalman._steady.cache_info()[:2] == (1, 1)
+    assert kalman._schedules.cache_info()[:2] == (1, 1)
 
 
 def test_memo_returns_read_only_arrays():
-    sched = schedules_of([dgu_estimator()], 300)[0]
+    sched = schedules_of([dgu_estimator()], 300)
     kf = dgu_estimator()
     steady = steady_state_covariance(kf.model.a_d, kf.q_eff, kf.r)
-    for array in (sched.gains, sched.s_inv, sched.p, steady):
+    for array in (sched.gains, sched.s_inv, sched.lengths, sched.p, sched.converged, steady):
         with pytest.raises(ValueError, match="read-only"):
-            array[0, 0] = 0.0
-    # a hit hands out a new list, so the caller's list is its own
-    again = schedules_of([dgu_estimator()], 300)
-    again.clear()
-    assert schedules_of([dgu_estimator()], 300)[0] is sched
+            array[(0,) * array.ndim] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sched.gains = sched.gains.copy()
+    assert schedules_of([dgu_estimator()], 300) is sched
 
 
 def test_memo_keys_on_content():
-    kalman._data_free.cache_clear()
+    _clear_caches()
     a_d = dgu_discrete().a_d
     q, r = 1e-2 * np.eye(4), np.eye(4)
     steady_state_covariance(a_d, q, r)
     steady_state_covariance(a_d.copy(), np.diag(np.full(4, 1e-2)), np.eye(4))
-    assert kalman._data_free.cache_info()[:2] == (1, 1)
+    assert kalman._steady.cache_info()[:2] == (1, 1)
     # one entry, one ulp apart
     nudged = a_d.copy()
     nudged[0, 0] = np.nextafter(nudged[0, 0], 2.0)
     steady_state_covariance(nudged, q, r)
-    assert kalman._data_free.cache_info()[:2] == (1, 2)
+    assert kalman._steady.cache_info()[:2] == (1, 2)
     # the same filter over another number of updates
     schedules_of([dgu_estimator()], 10)
     schedules_of([dgu_estimator()], 11)
-    assert kalman._data_free.cache_info()[:2] == (1, 4)
+    assert kalman._schedules.cache_info()[:2] == (0, 2)
+    assert kalman._steady.cache_info()[:2] == (1, 2)
 
 
 def test_memo_does_not_keep_a_failure():
-    kalman._data_free.cache_clear()
+    _clear_caches()
     zero = np.zeros((2, 2))
     model = DiscreteLtiModel(np.eye(2), np.zeros((2, 1)), 1.0, "euler")
     for _ in range(2):
         with pytest.raises(CovarianceError) as info:
             schedules_of([KalmanEstimator(model, q_eff=zero, r=zero, p0=zero)], 10)
         assert info.value.step == 1
-    assert kalman._data_free.cache_info().currsize == 0
+        with pytest.raises(CovarianceError, match="stabilizing"):
+            steady_state_covariance(np.diag([1.2, 0.5]), zero, np.eye(2))
+    assert kalman._schedules.cache_info()[:2] == (0, 2)
+    assert kalman._steady.cache_info()[:2] == (0, 2)
+    assert kalman._schedules.cache_info().currsize == kalman._steady.cache_info().currsize == 0
 
 
 def test_memo_stays_within_its_size():
-    kalman._data_free.cache_clear()
-    maxsize = kalman._data_free.cache_info().maxsize
-    for k in range(2 * maxsize + 3):
-        schedules_of([dgu_estimator()], k + 1)
-        assert kalman._data_free.cache_info().currsize <= maxsize
-    assert kalman._data_free.cache_info().currsize == maxsize
+    fills = {
+        kalman._schedules: lambda k: schedules_of([dgu_estimator()], k + 1),
+        kalman._steady: lambda k: steady_state_covariance(
+            np.eye(1), np.full((1, 1), k + 1.0), np.eye(1)
+        ),
+    }
+    for cache, fill in fills.items():
+        cache.cache_clear()
+        maxsize = cache.cache_info().maxsize
+        for k in range(2 * maxsize + 3):
+            fill(k)
+            assert cache.cache_info().currsize <= maxsize
+        assert cache.cache_info().currsize == maxsize
