@@ -91,9 +91,11 @@ def _trace_columns(trace: Trace, measured: bool) -> dict[str, np.ndarray]:
 
 def cmd_simulate(args) -> int:
     raw = _load_raw(args)
-    cfgmod._schema_check(raw)
-    if raw["simulation"]["duration_s"] == 0:
-        # degenerate run: emit the channel schema without any samples
+    sim = raw.get("simulation")
+    if isinstance(sim, dict) and sim.get("duration_s") == 0:
+        # degenerate run: emit the channel schema without any samples; the
+        # other runs are validated once, by ``load_scenario_dict``
+        cfgmod._schema_check(raw)
         topology = cfgmod._topology(raw)
         model = build_coupled_plant(topology)
         labels = model.state_labels + input_record_labels(topology.n_buses)

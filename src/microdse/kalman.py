@@ -17,9 +17,12 @@ batched small-matrix operations.  The covariance layer works on (B, n, n)
 arrays and each filter leaves the stack when it converges.  The state pass
 steps the filters still inside their schedules one sample at a time, then
 runs each filter's steady-gain remainder from its own convergence step as
-a blocked linear recursion, a bounded segment of rows at a time.  A
-filter's schedule and estimates are the same, bit for bit, for every B and
-stack order (for the estimates, under the BLAS condition that
+a blocked linear recursion, a bounded segment of rows at a time, on
+shapes shared by the whole stack: a filter whose remainder has ended runs
+on zero input and its rows are discarded, and a recursion has one
+remainder after its last full block for the whole stack.  A filter's
+schedule and estimates are the same, bit for bit, for every B and stack
+order (for the estimates, under the BLAS condition that
 ``filter_record`` states), and a lone filter is a stack of one.
 ``steady_state_covariance`` takes the limit directly from the discrete
 algebraic Riccati equation (DARE), solved by the structure-preserving
@@ -371,18 +374,13 @@ _SEGMENT_VALUES = 2**16
 
 
 def _linear_recursion(
-    f: np.ndarray,
-    x0: np.ndarray,
-    g: np.ndarray,
-    f_block: np.ndarray | None = None,
-    lengths: np.ndarray | None = None,
+    f: np.ndarray, x0: np.ndarray, g: np.ndarray, f_block: np.ndarray | None = None
 ) -> np.ndarray:
     """Overwrite the rows g_1..g_N of each record in ``g`` (B, N, n) with
     x_1..x_N of x_k = f x_{k-1} + g_k, from x0 (B, n), for the B systems of
     the stack ``f`` (B, n, n).  ``f_block`` is f^_BLOCK, for callers that
-    run many records with the same f.  Record i may end after
-    ``lengths[i]`` rows (default N); its later rows are left undefined.
-    Returns the state that starts the block after the last full one.
+    run many records with the same f.  Returns x_N as the pass over the
+    blocks carries it, which may round apart from the row g_N.
 
     The rows are cut into blocks of ``_BLOCK``.  One pass over the block
     offsets runs every block at once from a zero state.  A pass over the
@@ -390,44 +388,30 @@ def _linear_recursion(
     f^_BLOCK, and a second pass over the offsets adds f^(j+1) times every
     block's start state to its j-th row, one matrix product per offset.
     That is N / _BLOCK + 2 _BLOCK small steps in Python instead of N, with
-    one row per block of memory besides ``g``.  The rows of a record after
-    its last full block are stepped one at a time from that block's start.
-    Each system's rows are the same, bit for bit, for every B.
+    one row per block of memory besides ``g``.  The rows after the last
+    full block, one remainder for the whole stack, are then stepped one at
+    a time.  Each system's rows are the same, bit for bit, for every B.
     """
     if not g.flags.c_contiguous:
         raise ValueError("the recursion runs in place on a C-contiguous array")
     n_sys, steps, n = g.shape
     blocks = steps // _BLOCK
-    every = np.arange(n_sys)
-    lengths = np.full(n_sys, steps) if lengths is None else np.asarray(lengths)
-    stepped_from = lengths // _BLOCK * _BLOCK
-    n_stepped = lengths - stepped_from
-    stepped_rows = np.minimum(
-        stepped_from[:, None] + np.arange(n_stepped.max(initial=0)), steps - 1
-    )
-    # kept before the block passes overwrite them
-    stepped_g = g[every[:, None], stepped_rows]
     y = g[:, : blocks * _BLOCK].reshape(n_sys, blocks, _BLOCK, n)
     ft = _transposed(f)
     for j in range(1, _BLOCK):
         y[:, :, j] += y[:, :, j - 1] @ ft
     if f_block is None and blocks:
         f_block = np.linalg.matrix_power(f, _BLOCK)
-    starts = np.empty((n_sys, blocks + 1, n))
+    offsets = np.empty((n_sys, blocks, n))
     x = x0
     for b in range(blocks):
-        starts[:, b] = x
+        offsets[:, b] = x
         x = _apply(f_block, x) + y[:, b, -1]
-    starts[:, blocks] = x
-    offsets = starts[:, :blocks]
     for j in range(_BLOCK):
         offsets = offsets @ ft
         y[:, :, j] += offsets
-    x_step = starts[every, stepped_from // _BLOCK]
-    for r in range(stepped_rows.shape[1]):
-        x_step = _apply(f, x_step) + stepped_g[:, r]
-        keep = r < n_stepped
-        g[every[keep], stepped_rows[keep, r]] = x_step[keep]
+    for k in range(blocks * _BLOCK, steps):
+        x = g[:, k] = _apply(f, x) + g[:, k]
     return x
 
 
@@ -494,7 +478,9 @@ def filter_record(
       ``_linear_recursion``, in segments of whole blocks of at most
       ``_SEGMENT_VALUES`` values per working array, and each segment hands
       the next the start of its next block, so that no row depends on
-      where a segment ends.
+      where a segment ends.  Every filter runs through every segment: one
+      whose record has ended runs on zero input, and those rows are
+      discarded.
 
     The filters are read, not changed, so a second run on the same
     filters gives the same results.  A filter's results are the same, bit
@@ -512,8 +498,7 @@ def filter_record(
     index = np.arange(len(filters)) if index is None else np.asarray(index)
     sched = schedules_of(filters, z.shape[0] - 1)
     # longest schedule first: the filters inside their schedules at an
-    # update, and those whose tails still run in a segment, are then a
-    # prefix and a suffix of ``order``
+    # update are then a prefix of ``order``
     order = np.argsort(-sched.lengths, kind="stable")
     a_d = np.array([kf.model.a_d for kf in filters])
     b_d = np.array([kf.model.b_d for kf in filters])
@@ -527,43 +512,35 @@ def filter_record(
 
 def _schedule_segment(sched, a_d, b_d, order, z, u, index, x_hat, nis):
     """Updates 1..max m_i of ``filter_record``, one sample at a time, each
-    for the filters whose schedules reach it, in chunks of updates of at
-    most ``_SEGMENT_VALUES`` gain values."""
+    for the filters whose schedules reach it.  The gains are gathered in
+    stack order once, so this transient copy is at most the size of the
+    cached schedule it is read from."""
     cuts = sched.lengths[order]
-    steps = int(cuts[0])
-    n_filters, _, n = x_hat.shape
     # filters inside their schedules at update k: order[:active[k - 1]]
-    active = np.searchsorted(-cuts, -np.arange(1, steps + 1), side="right")
+    active = np.searchsorted(-cuts, -np.arange(1, cuts[0] + 1), side="right")
+    gains = sched.gains[order].swapaxes(0, 1)
+    zs = z[1 : cuts[0] + 1, index[order]]
+    # B u as the rows of one matrix product per filter, of at least two rows
+    us = u[: max(cuts[0], 2), index[order]].swapaxes(0, 1)
+    bu = (np.ascontiguousarray(us) @ _right_factor(b_d[order])).swapaxes(0, 1)
+    innovation = np.empty((cuts[0], order.size, x_hat.shape[2]))
     a_d = a_d[order]
-    b_dt = _right_factor(b_d[order])
-    chunk = max(2, _SEGMENT_VALUES // (n_filters * n * n))
     x = x_hat[order, 0]
-    for k0 in range(0, steps, chunk):
-        k1 = min(steps, k0 + chunk)
-        live = order[: active[k0]]
-        gains = sched.gains[live, k0:k1].swapaxes(0, 1)
-        zs = z[k0 + 1 : k1 + 1, index[live]]
-        # B u as the rows of one matrix product per filter, of at least
-        # two rows
-        us = u[k0 : max(k1, k0 + 2), index[live]].swapaxes(0, 1)
-        bu = (np.ascontiguousarray(us) @ b_dt[: live.size]).swapaxes(0, 1)
-        innovation = np.empty((k1 - k0, live.size, n))
-        for k in range(k0 + 1, k1 + 1):
-            c, r = active[k - 1], k - 1 - k0
-            x_prior = _apply(a_d[:c], x[:c]) + bu[r, :c]
-            d = innovation[r, :c] = zs[r, :c] - x_prior
-            x = x_prior + _apply(gains[r, :c], d)
-            x_hat[order[:c], k] = x
-        for j, i in enumerate(live):
-            d = innovation[: min(cuts[j], k1) - k0, j]
-            nis[i, k0 + 1 : k0 + 1 + len(d)] = np.einsum(
-                "ki,kij,kj->k", d, sched.s_inv[i, k0 : k0 + len(d)], d
-            )
+    for k, c in enumerate(active, start=1):
+        x_prior = _apply(a_d[:c], x[:c]) + bu[k - 1, :c]
+        d = innovation[k - 1, :c] = zs[k - 1, :c] - x_prior
+        x = x_prior + _apply(gains[k - 1, :c], d)
+        x_hat[order[:c], k] = x
+    for j, i in enumerate(order):
+        d = innovation[: cuts[j], j]
+        nis[i, 1 : 1 + cuts[j]] = np.einsum("ki,kij,kj->k", d, sched.s_inv[i, : cuts[j]], d)
 
 
 def _steady_tails(sched, a_d, b_d, order, z, u, index, x_hat, nis):
     """The records of ``filter_record`` after each filter's cut, as one
-    stack of linear recursions run a segment at a time."""
+    stack of linear recursions run a segment at a time.  Every filter runs
+    through every segment; one whose tail has ended runs on zero input,
+    and those rows are discarded."""
     n_rec, n = x_hat.shape[1:]
     cuts = sched.lengths[order]
     # ascending, since ``order`` sorts the cuts descending
@@ -582,42 +559,38 @@ def _steady_tails(sched, a_d, b_d, order, z, u, index, x_hat, nis):
     )
     # at least two blocks, so that no block pass multiplies a single row
     seg_blocks = max(2, _SEGMENT_VALUES // (order.size * n * _BLOCK))
-    start = x_hat[order, cuts]
-    x_prev = start.copy()
+    x_prev = start = x_hat[order, cuts]
     done = 0
-    first = 0
-    while first < order.size:
+    while done < tails[-1]:
         blocks = min(seg_blocks, max(2, -(-(int(tails[-1]) - done) // _BLOCK)))
         rows = blocks * _BLOCK
-        live = slice(first, None)
-        valid = np.minimum(tails[live] - done, rows)
-        # the segment holds samples at + 0..rows-1 of each live filter
-        at = cuts[live] + 1 + done
-        zs = np.zeros((valid.size, rows, n))
-        us = np.zeros((valid.size, rows, u.shape[2]))
-        for j, i in enumerate(order[live]):
+        valid = np.clip(tails - done, 0, rows)
+        # the segment holds samples at + 0..rows-1 of each filter
+        at = cuts + 1 + done
+        zs = np.zeros((order.size, rows, n))
+        us = np.zeros((order.size, rows, u.shape[2]))
+        for j, i in enumerate(order):
             a, v, r = at[j], valid[j], index[i]
             zs[j, :v] = z[a : a + v, r]
             us[j, :v] = u[a - 1 : a - 1 + v, r]
-        bu = us @ b_dt[live]
+        bu = us @ b_dt
         del us
-        x = bu @ i_kt[live]
-        x += zs @ k_t[live]
+        x = bu @ i_kt
+        x += zs @ k_t
         # zs - bu, then the innovations z_k - A x_{k-1} - B u_{k-1}, in place;
         # A x_{k-1} of every row, the segment's first included, comes from
         # one row product, so that no row rounds by where its segment starts
         zs -= bu
         del bu
-        start[live] = _linear_recursion(f[live], start[live], x, f_block[live], valid)
-        zs -= np.concatenate([x_prev[live, None], x[:, :-1]], axis=1) @ a_dt[live]
-        seg_nis = np.einsum("bki,bki->bk", zs @ s_inv_t[live], zs)
-        for j, i in enumerate(order[live]):
+        start = _linear_recursion(f, start, x, f_block)
+        zs -= np.concatenate([x_prev[:, None], x[:, :-1]], axis=1) @ a_dt
+        seg_nis = np.einsum("bki,bki->bk", zs @ s_inv_t, zs)
+        for j, i in enumerate(order):
             a, v = at[j], valid[j]
             x_hat[i, a : a + v] = x[j, :v]
             nis[i, a : a + v] = seg_nis[j, :v]
-        x_prev[live] = x[:, -1]
+        x_prev = x[:, -1]
         done += rows
-        first = int(np.searchsorted(tails, done, side="right"))
 
 
 def steady_state_covariance(

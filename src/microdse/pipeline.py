@@ -56,11 +56,25 @@ def simulate_scenario(scn: ScenarioConfig) -> Trace:
     return run_plant(scn.sim)
 
 
+def _layer_record(trace: Trace, layer: str, rate_hz: float) -> Trace:
+    """``trace`` downsampled to the ``layer``'s rate; a ``ValueError`` when
+    that leaves fewer than two samples, the initial one and one update."""
+    out = downsample(trace, rate_hz)
+    if len(out) < 2:
+        raise ValueError(
+            f"the {layer} record holds {len(out)} sample(s) at {rate_hz:g} Hz; the "
+            f"estimators need at least 2, a run of at least {1.0 / rate_hz:g} s"
+        )
+    return out
+
+
 def estimate_scenario(scn: ScenarioConfig, trace: Trace) -> EstimationResult:
-    """Run the local estimators at their rate and the global one below them."""
+    """Run the local estimators at their rate and the global one below them.
+    Raises ``ValueError`` when either record is too short for one update."""
     est = scn.estimation
     topology = scn.sim.topology
-    local_trace = downsample(trace, est.local_rate_hz)
+    local_trace = _layer_record(trace, "local", est.local_rate_hz)
+    global_trace = _layer_record(local_trace, "global", est.global_rate_hz)
     estimators = build_local_estimators(scn)
     local_estimates = run_locals(estimators, local_trace)
 
@@ -74,7 +88,6 @@ def estimate_scenario(scn: ScenarioConfig, trace: Trace) -> EstimationResult:
         input_covariance=m_global,
         method=est.method,
     )
-    global_trace = downsample(local_trace, est.global_rate_hz)
     voltage_ticks = {
         bus: downsample(tr, est.global_rate_hz) for bus, tr in local_estimates.items()
     }

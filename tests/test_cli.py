@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import microdse as m
+from microdse import config as cfgmod
 from microdse.cli import main
 from microdse import traceio
 from microdse.traceio import read_csv, write_csv
@@ -58,6 +59,33 @@ def test_non_finite_duration_exits_with_validation_code(short_config, tmp_path, 
     assert run_cli("simulate", "--config", short_config, "--out", out, "--duration", duration) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid simulation: duration_s must be finite and positive")
+
+
+@pytest.mark.parametrize("duration", [0, 0.05])
+def test_simulate_validates_the_scenario_once(short_config, tmp_path, monkeypatch, duration):
+    calls = []
+    check = cfgmod._schema_check
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(cfgmod, "_schema_check", counted)
+    argv = ("--duration", duration, "--event-time", 0.0)
+    assert run_cli("simulate", "--config", short_config, "--out", tmp_path / "o", *argv) == 0
+    assert len(calls) == 1
+
+
+def test_estimate_refuses_a_run_shorter_than_one_global_period(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ("--duration", 0.005, "--event-time", 0.0025, "--out", out)
+    assert run_cli("simulate", *argv) == 0
+    traces = ("--truth", out / "truth.csv", "--measurements", out / "measurements.csv")
+    capsys.readouterr()
+    assert run_cli("estimate", *argv, *traces) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the global record holds 1 sample(s) at 100 Hz")
+    assert sorted(p.name for p in out.iterdir()) == ["measurements.csv", "truth.csv"]
 
 
 def test_invalid_electrical_parameter_names_field(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,30 @@ def test_no_production_path_steps_per_sample(reference_scenario, monkeypatch):
     result = m.estimate_scenario(scn, m.simulate_scenario(scn))
     assert len(result.global_estimate) == 11
     assert np.isfinite(result.global_estimate.x_hat).all()
+
+
+@pytest.mark.parametrize(
+    "duration,layer,samples,rate",
+    [(0.005, "global", 1, "100"), (0.0, "local", 1, "10000")],
+)
+def test_a_record_too_short_for_one_update_is_refused(
+    reference_scenario, duration, layer, samples, rate
+):
+    """A local or global record of fewer than two samples names its layer,
+    sample count and rate instead of scoring an empty NIS."""
+    sim = dataclasses.replace(reference_scenario.sim, duration_s=0.01, events=EventSchedule())
+    scn = dataclasses.replace(reference_scenario, sim=sim)
+    trace = m.simulate_scenario(scn)
+    rows = int(round(duration / trace.t_step_s)) + 1
+    short = dataclasses.replace(
+        trace, t=trace.t[:rows], x_true=trace.x_true[:rows], z_state=trace.z_state[:rows],
+        u_true=trace.u_true[:rows], u_meas=trace.u_meas[:rows],
+    )
+    message = f"the {layer} record holds {samples} sample(s) at {rate} Hz"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        m.estimate_scenario(scn, short)
+    # one global period is enough
+    assert len(m.estimate_scenario(scn, trace).global_estimate) == 2
 
 
 def test_a_second_run_on_the_same_estimators_gives_the_same_bits(reference_scenario):

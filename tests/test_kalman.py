@@ -498,6 +498,27 @@ def test_stacked_pass_matches_step_oracle_around_cuts_and_segment_edges(
         _compare_stack_with_oracle(filters, updates + 1, np.random.default_rng(seed))
 
 
+def test_tail_that_ends_segments_before_another_equals_its_lone_run():
+    """Under a two-block segment budget, one filter's steady tail ends at
+    least one full segment before another's, so it runs whole segments on
+    zero input; each filter still equals its lone run and the step oracle."""
+    filters = [
+        _random_filter(seed, 4, 2, radius)[:4] for seed, radius in ((5, 0.999), (6, 0.5))
+    ]
+    cuts = [
+        gain_schedule(*_stack(model.a_d, q, r, p0), 100_000).lengths[0]
+        for model, q, r, p0 in filters
+    ]
+    segment = 2 * kalman._BLOCK
+    # the tails differ by the cuts' difference
+    assert max(cuts) - min(cuts) >= 2 * segment
+    updates = max(cuts) + 3 * kalman._BLOCK + 5
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kalman, "_SEGMENT_VALUES", len(filters) * 4 * segment)
+        schedules = _compare_stack_with_oracle(filters, updates + 1, np.random.default_rng(11))
+    assert all(s.converged for s in schedules)
+
+
 def test_stack_cut_inside_some_schedules_equals_each_filter_alone():
     filters = [
         _random_filter(seed, 4, 2, radius)[:4]
@@ -565,30 +586,30 @@ def test_blocked_linear_recursion_matches_loop(steps):
     np.testing.assert_allclose(stacked[0], expected, rtol=0, atol=1e-11)
 
 
-def test_blocked_linear_recursion_stops_each_record_at_its_length():
-    """Records of one stack that end at different rows: each gets the rows
-    of its own loop, and the rows of the stack's other records are the
-    same, bit for bit, as when they run alone."""
-    rng = np.random.default_rng(5)
-    lengths = np.array([0, 1, 63, 64, 65, 130, 192])
-    steps = 192
-    theta = rng.uniform(0.0, 0.1, len(lengths))
+@pytest.mark.parametrize("remainder", [0, 1, 63])
+def test_blocked_linear_recursion_steps_one_remainder_for_the_stack(remainder):
+    """A stack of systems sharing one length 64k + r: each gets the rows of
+    its own loop, and the same rows, bit for bit, as when it runs alone."""
+    rng = np.random.default_rng(remainder)
+    steps = 3 * kalman._BLOCK + remainder
+    theta = rng.uniform(0.0, 0.1, 5)
     f = 0.999 * np.array(
         [[[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]] for a in theta]
     )
-    x0 = rng.standard_normal((len(lengths), 2)) * 100.0
-    g = rng.standard_normal((len(lengths), steps, 2))
+    x0 = rng.standard_normal((len(theta), 2)) * 100.0
+    g = rng.standard_normal((len(theta), steps, 2))
     stacked = g.copy()
-    _linear_recursion(f, x0, stacked, lengths=lengths)
-    for i, length in enumerate(lengths):
-        expected = np.empty((length, 2))
+    last = _linear_recursion(f, x0, stacked)
+    np.testing.assert_allclose(last, stacked[:, -1], rtol=0, atol=1e-11)
+    for i in range(len(theta)):
+        expected = np.empty((steps, 2))
         x = x0[i]
-        for k in range(length):
+        for k in range(steps):
             x = expected[k] = f[i] @ x + g[i, k]
-        np.testing.assert_allclose(stacked[i, :length], expected, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(stacked[i], expected, rtol=0, atol=1e-11)
         alone = g[i : i + 1].copy()
-        _linear_recursion(f[i : i + 1], x0[i : i + 1], alone, lengths=lengths[i : i + 1])
-        np.testing.assert_array_equal(stacked[i, :length], alone[0, :length])
+        _linear_recursion(f[i : i + 1], x0[i : i + 1], alone)
+        np.testing.assert_array_equal(stacked[i], alone[0])
 
 
 @settings(max_examples=40, deadline=None)
