@@ -1,33 +1,35 @@
 """CSV interchange for traces.
 
 Schema: first column ``t`` in seconds with 9 decimal places, then one
-column per labeled channel.  Channel values are written with shortest
-round-trip float formatting, so a written trace reads back
-value-identical.  A header with no rows is an empty trace; a header that
-names a column twice is rejected.
+column per labeled channel, under a UTF-8 header.  Channel values are
+written with shortest round-trip float formatting, so a written trace
+reads back value-identical.  A header with no rows is an empty trace; a
+header that names a column twice is rejected, and a write refuses a label
+that would not read back (``t``, or one holding a comma or a line break).
 
 A large trace is formatted and parsed on every usable CPU (the process's
-CPU affinity where the platform reports it, else the CPU count).  Its rows
-are split into contiguous ranges, one per CPU but none smaller than
-``_MIN_PART_ROWS`` rows (writes) or ``_MIN_PART_BYTES`` bytes of text
-(reads); forked workers handle every range but the first, which the
-calling process handles itself.  A write worker formats its rows into a
-part file next to the target, which the caller appends in order and
-deletes.  A read is cut after a newline, and each worker parses its byte
-range with ``np.loadtxt`` and streams the raw array into the result.  The
-bytes written are exactly those of a serial write, and a read returns
-exactly what one ``np.loadtxt`` over the file returns, since every line
-is parsed on its own; a read whose parts fail in any way is parsed again
-serially, so its errors are the serial ones.  A trace that gives one
-part, or a platform without ``os.fork``, takes the serial path.  Workers
-are forked from the calling thread, so a caller running other threads
-should not hold locks that formatting or parsing needs.
+CPU affinity where the platform reports it, else the CPU count), in
+contiguous row ranges, one per CPU but none smaller than ``_MIN_PART_ROWS``
+rows (writes) or ``_MIN_PART_BYTES`` bytes of text (reads, cut after a
+newline).  Forked workers take every range but the first, which the
+calling process takes itself, and each writes into its own anonymous
+temporary file (a write's in the target's directory), so a killed run
+leaves no part file behind.  The caller appends the formatted rows in
+order, or reads the raw float64 rows that ``np.loadtxt`` parsed into the
+result.  The bytes written are those of a serial write, and a read returns
+exactly what one ``np.loadtxt`` over the file returns, since every line is
+parsed on its own; a read whose parts fail in any way is parsed again
+serially, so its errors are the serial ones.  One part, a platform without
+``os.fork``, or a worker or file that cannot be set up means the serial
+path.  Workers are forked from the calling thread, so a caller running
+other threads should not hold locks that formatting or parsing needs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import mmap
 import os
 import shutil
 import signal
@@ -44,8 +46,6 @@ _CHUNK_ROWS = 1024
 _MIN_PART_ROWS = 4096
 #: Fewest bytes of text one process parses when a read is split.
 _MIN_PART_BYTES = 1 << 20
-#: Bytes ``read_csv`` scans at a time for a newline to cut after.
-_SCAN_BYTES = 1 << 16
 
 
 def _usable_cpus() -> int:
@@ -62,44 +62,65 @@ def _n_parts(size: int, min_size: int) -> int:
     return max(1, min(_usable_cpus(), size // min_size))
 
 
-def _fork(work, *args) -> int:
-    """Run ``work(*args)`` in a forked child; its exit status is 0 only if
-    the call returned.  The child never returns into the caller."""
+def _fork(work, out, *args) -> int:
+    """Run ``work(out, *args)`` in a forked child, then flush file ``out``;
+    its exit status is 0 only if both returned.  The child never returns
+    into the caller."""
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            work(*args)
+            work(out, *args)
+            out.flush()
             code = 0
         finally:
             os._exit(code)
     return pid
 
 
-@contextlib.contextmanager
-def _workers():
-    """A list for forked worker pids.  Each pid still listed on exit (the
-    caller failed or was interrupted) is killed, and every one is reaped."""
-    pids: list[int] = []
-    try:
-        yield pids
-    finally:
-        for pid in pids:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-
-
-def _wait(pids: list[int]) -> list[int]:
-    """Reap every worker in ``pids``, emptying it; their exit codes in order."""
-    codes = []
+def _stop(pids: list[int]) -> None:
+    """Kill every worker in ``pids`` and reap it, emptying the list."""
+    for pid in pids:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
     while pids:
-        _, status = os.waitpid(pids[0], 0)
-        pids.pop(0)
-        codes.append(os.waitstatus_to_exitcode(status))
-    return codes
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pids[-1], 0)
+        pids.pop()
+
+
+@contextlib.contextmanager
+def _in_workers(work, ranges: list[tuple[int, int]], dir=None):
+    """Run ``work(out, start, stop)`` for each range in a forked worker,
+    ``out`` being that worker's own anonymous temporary file in ``dir``.
+    Yields a function that reaps the workers and returns each one's exit
+    code and rewound file, in range order; or None where there is no range,
+    or a worker or its file could not be set up (the workers started are
+    then killed and reaped first).  On exit, workers still running are
+    killed, all are reaped, and the files are closed."""
+
+    def wait() -> list:
+        codes = []
+        while pids:
+            _, status = os.waitpid(pids[0], 0)
+            pids.pop(0)
+            codes.append(os.waitstatus_to_exitcode(status))
+        for out in files:
+            out.seek(0)
+        return list(zip(codes, files))
+
+    pids: list[int] = []
+    with contextlib.ExitStack() as stack:
+        stack.callback(_stop, pids)
+        files = []
+        try:
+            for start, stop in ranges:
+                files.append(stack.enter_context(tempfile.TemporaryFile(dir=dir)))
+                pids.append(_fork(work, files[-1], start, stop))
+        except OSError:
+            _stop(pids)
+            files = []
+        yield wait if files else None
 
 
 def _write_rows(fh, t: np.ndarray, arrays: list[np.ndarray], start: int, stop: int) -> None:
@@ -107,62 +128,50 @@ def _write_rows(fh, t: np.ndarray, arrays: list[np.ndarray], start: int, stop: i
     for lo in range(start, stop, _CHUNK_ROWS):
         chunk = slice(lo, min(lo + _CHUNK_ROWS, stop))
         rows = np.column_stack([t[chunk], *(arr[chunk] for arr in arrays)]).tolist()
-        fh.writelines(
+        fh.write("".join(
             ",".join([f"{row[0]:.9f}", *map(repr, row[1:])]) + "\n" for row in rows
-        )
-
-
-def _write_part(fd: int, t: np.ndarray, arrays: list[np.ndarray], start: int, stop: int) -> None:
-    with open(fd, "w", newline="") as fh:
-        _write_rows(fh, t, arrays, start, stop)
+        ).encode())
 
 
 def write_csv(path: str | Path, t: np.ndarray, columns: dict[str, np.ndarray]) -> None:
     path = Path(path)
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"t has shape {t.shape}, expected one dimension")
     labels = list(columns)
+    for lab in labels:
+        if lab == "t" or any(c in lab for c in ",\r\n"):
+            raise ValueError(f"column label {lab!r} is 't' or holds a comma or a line break")
+    header = (",".join(["t", *labels]) + "\n").encode()
     arrays = [np.asarray(columns[lab], dtype=float) for lab in labels]
     n = len(t)
     for lab, arr in zip(labels, arrays):
         if arr.shape != (n,):
             raise ValueError(f"column {lab!r} has shape {arr.shape}, expected ({n},)")
-    t = np.asarray(t, dtype=float)
     parts = _n_parts(n, _MIN_PART_ROWS)
     bounds = [n * i // parts for i in range(parts + 1)]
-    part_files: list[str] = []
-    try:
-        with _workers() as pids:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                fd, name = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".part", dir=path.parent)
-                part_files.append(name)
-                try:
-                    pids.append(_fork(_write_part, fd, t, arrays, start, stop))
-                finally:
-                    os.close(fd)
-            with path.open("w", newline="") as fh:
-                fh.write(",".join(["t", *labels]) + "\n")
-                _write_rows(fh, t, arrays, 0, bounds[1])
-            codes = _wait(pids)
-        for start, stop, code in zip(bounds[1:-1], bounds[2:], codes):
+    ranges = list(zip(bounds[1:-1], bounds[2:]))
+    with (
+        _in_workers(lambda out, lo, hi: _write_rows(out, t, arrays, lo, hi), ranges, path.parent)
+        as wait,
+        path.open("wb") as fh,
+    ):
+        fh.write(header)
+        _write_rows(fh, t, arrays, 0, bounds[1] if wait else n)
+        for (start, stop), (code, part) in zip(ranges, wait() if wait else []):
             if code != 0:
                 raise OSError(
                     f"{path}: the worker writing rows {start} to {stop - 1} "
                     f"exited with status {code}"
                 )
-        with path.open("ab") as fh:
-            for name in part_files:
-                with open(name, "rb") as part:
-                    shutil.copyfileobj(part, fh)
-    finally:
-        for name in part_files:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(name)
+            shutil.copyfileobj(part, fh)
 
 
 def _bad_row(path: Path, n_columns: int) -> str | None:
     """The first data line that does not hold ``n_columns`` numbers, by
     ``np.loadtxt``'s rule: a line ends at its first ``#``, and a line left
     empty holds no row."""
-    with path.open() as fh:
+    with path.open(encoding="utf-8") as fh:
         next(fh)
         for lineno, line in enumerate(fh, start=2):
             fields = line.rstrip("\r\n").split("#", 1)[0].split(",")
@@ -194,12 +203,12 @@ class _ByteRange(io.RawIOBase):
         return len(data)
 
 
-def _parse(fh, start: int, stop: int, n_columns: int) -> np.ndarray:
-    """Rows in bytes ``start`` up to ``stop`` of ``fh``'s file, decoded as
-    ``fh`` decodes; a ``ValueError`` unless each holds ``n_columns`` numbers."""
-    raw = _ByteRange(fh.fileno(), start, stop)
-    with io.TextIOWrapper(io.BufferedReader(raw), encoding=fh.encoding, errors=fh.errors) as text:
-        rows = np.loadtxt(text, delimiter=",", ndmin=2)
+def _parse(fd: int, start: int, stop: int, n_columns: int) -> np.ndarray:
+    """Rows in bytes ``start`` up to ``stop`` of file ``fd``, read as one
+    ``np.loadtxt`` reads a binary file; a ``ValueError`` unless each holds
+    ``n_columns`` numbers."""
+    with io.BufferedReader(_ByteRange(fd, start, stop)) as raw:
+        rows = np.loadtxt(raw, delimiter=",", ndmin=2)
     if rows.size == 0:
         return np.empty((0, n_columns))
     if rows.shape[1] != n_columns:
@@ -207,95 +216,61 @@ def _parse(fh, start: int, stop: int, n_columns: int) -> np.ndarray:
     return rows
 
 
-def _send_part(fh, start: int, stop: int, n_columns: int, reader: int, writer: int) -> None:
-    """Parse one range and send its row count, then its raw float64 rows."""
-    os.close(reader)
-    rows = _parse(fh, start, stop, n_columns)
-    with open(writer, "wb") as out:
-        out.write(len(rows).to_bytes(8, "little"))
-        out.write(np.ascontiguousarray(rows).data)
-
-
-def _data_start(fd: int, header: str, encoding: str) -> int | None:
-    """Byte offset after the header line ``header`` (as text mode read it),
-    or None where that line does not end at the file's first newline."""
-    head = os.pread(fd, len(header.encode(encoding)) + 1, 0)
-    end = head.find(b"\n") + 1
-    if end == 0 or head[:end].decode(encoding).replace("\r\n", "\n") != header:
-        return None
-    return end
-
-
 def _cuts(fd: int, start: int, size: int, parts: int) -> list[int]:
     """Offsets that split bytes ``start`` up to ``size`` into at most
     ``parts`` ranges of near-equal length, each cut just after a newline."""
     cuts = [start]
-    for i in range(1, parts):
-        pos = max(start + (size - start) * i // parts, cuts[-1])
-        while pos < size:
-            block = os.pread(fd, _SCAN_BYTES, pos)
-            newline = block.find(b"\n")
-            if newline >= 0:
-                pos += newline + 1
+    with mmap.mmap(fd, size, access=mmap.ACCESS_READ) as text:
+        for i in range(1, parts):
+            pos = text.find(b"\n", max(start + (size - start) * i // parts, cuts[-1])) + 1
+            if not 0 < pos < size:
                 break
-            pos += len(block)
-        if pos >= size:
-            break
-        cuts.append(pos)
+            cuts.append(pos)
     return cuts + [size]
 
 
-def _parse_in_parts(fh, header_line: str, n_columns: int) -> np.ndarray | None:
-    """The rows after ``header_line``, parsed by forked workers and this
-    process; None where the file gives one part or any part fails."""
+def _parse_in_parts(fh, start: int, n_columns: int) -> np.ndarray | None:
+    """The rows from byte ``start`` of ``fh``'s file on, parsed by forked
+    workers and this process; None where the file gives one part or any
+    part fails."""
     fd = fh.fileno()
-    start = _data_start(fd, header_line, fh.encoding)
-    if start is None:
-        return None
     size = os.fstat(fd).st_size
-    cuts = _cuts(fd, start, size, _n_parts(size - start, _MIN_PART_BYTES))
-    if len(cuts) < 3:
+    parts = _n_parts(size - start, _MIN_PART_BYTES)
+    if parts < 2:
         return None
-    with contextlib.ExitStack() as stack:
-        pids = stack.enter_context(_workers())
-        pipes = []
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            reader, writer = os.pipe()
-            try:
-                pids.append(_fork(_send_part, fh, lo, hi, n_columns, reader, writer))
-            finally:
-                os.close(writer)
-            pipes.append(stack.enter_context(open(reader, "rb")))
+    cuts = _cuts(fd, start, size, parts)
+    with _in_workers(
+        lambda out, lo, hi: out.write(_parse(fd, lo, hi, n_columns)),
+        list(zip(cuts[1:-1], cuts[2:])),
+    ) as wait:
+        if wait is None:
+            return None
         try:
-            first = _parse(fh, cuts[0], cuts[1], n_columns)
+            first = _parse(fd, cuts[0], cuts[1], n_columns)
         except ValueError:
             return None
-        counts = []
-        for pipe in pipes:
-            count = pipe.read(8)
-            if len(count) != 8:
-                return None
-            counts.append(int.from_bytes(count, "little"))
-        data = np.empty((len(first) + sum(counts), n_columns))
+        done = wait()
+        if any(code for code, _ in done):
+            return None
+        sizes = [os.fstat(part.fileno()).st_size for _, part in done]
+        data = np.empty((len(first) + sum(sizes) // (n_columns * first.itemsize), n_columns))
         data[: len(first)] = first
         received = np.ravel(data).view(np.uint8)[first.nbytes :]
         del first
-        for pipe, count in zip(pipes, counts):
-            part, received = np.split(received, [count * n_columns * data.itemsize])
-            if pipe.readinto(part) != part.nbytes:
+        for (_, part), nbytes in zip(done, sizes):
+            chunk, received = np.split(received, [nbytes])
+            if part.readinto(chunk) != nbytes:
                 return None
-        if any(_wait(pids)):
-            return None
     return data
 
 
 def read_csv(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     path = Path(path)
-    with path.open() as fh:
+    with path.open("rb") as fh:
         line = fh.readline()
         if not line:
             raise ValueError(f"{path}: empty file, expected a header row")
-        header = line.rstrip("\r\n").split(",")
+        header = line.decode("utf-8").rstrip("\r\n").split(",")
         if header[0] != "t":
             raise ValueError(f"{path}: first column must be 't', got {header[:1]}")
         if len(set(header)) != len(header):
@@ -304,7 +279,7 @@ def read_csv(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         with warnings.catch_warnings():
             # a header with no rows is the documented empty trace
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            data = _parse_in_parts(fh, line, len(header))
+            data = _parse_in_parts(fh, len(line), len(header))
             if data is None:
                 try:
                     data = np.loadtxt(fh, delimiter=",", ndmin=2)

@@ -1,6 +1,9 @@
+import contextlib
+import errno
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -211,6 +214,13 @@ def test_csv_text_matches_per_value_format(tmp_path, rows):
     assert path.read_bytes() == _per_value_csv(t, cols).encode()
 
 
+def _env_with_src():
+    """The environment, with this checkout's package first on the path."""
+    src = str(Path(m.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
 def _record_forks(monkeypatch, cpus):
     """Give ``traceio`` ``cpus`` usable CPUs; the pids of the workers it forks."""
     monkeypatch.setattr(traceio, "_usable_cpus", lambda: cpus)
@@ -345,6 +355,115 @@ def test_csv_write_in_parts_fails_without_leftovers(tmp_path, monkeypatch, fails
     assert len(pids) == 1
     _assert_reaped(pids)
     assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
+
+_KILLED_WRITER = """
+import os
+import signal
+import sys
+
+import numpy as np
+
+from microdse import traceio
+
+traceio._usable_cpus = lambda: 2
+write_rows = traceio._write_rows
+
+
+def killed(fh, t, arrays, start, stop):
+    if start == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    write_rows(fh, t, arrays, start, stop)
+
+
+traceio._write_rows = killed
+rows = 2 * traceio._MIN_PART_ROWS + 1
+traceio.write_csv(sys.argv[1], np.zeros(rows), {"a": np.ones(rows)})
+"""
+
+
+def test_csv_writer_killed_leaves_only_its_target(tmp_path):
+    """A writer killed by SIGKILL while its worker formats rows leaves no
+    part file next to its target."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_WRITER, str(tmp_path / "trace.csv")],
+        env=_env_with_src(),
+        start_new_session=True,
+    )
+    try:
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+    finally:
+        # the worker may outlive the writer: stop the whole session
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
+
+def _fail_forks_after(monkeypatch, started):
+    """Make ``os.fork`` fail with EAGAIN once ``started`` forks succeeded."""
+    fork = os.fork
+    calls = []
+
+    def failing():
+        calls.append(None)
+        if len(calls) > started:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing)
+
+
+def test_csv_write_takes_the_serial_path_when_a_fork_fails(tmp_path, monkeypatch):
+    rows = 3 * traceio._MIN_PART_ROWS + 1
+    edge = np.resize([-0.0, 5e-324, 1e16, np.nan, np.inf, -np.inf, 0.1], rows)
+    t = np.arange(rows) * 1e-4
+    cols = {"edge": edge, "third": edge / 3.0}
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 1)
+    write_csv(tmp_path / "one-cpu.csv", t, cols)
+    pids = _record_forks(monkeypatch, 3)
+    _fail_forks_after(monkeypatch, 1)
+    (tmp_path / "parts").mkdir()
+    write_csv(tmp_path / "parts" / "trace.csv", t, cols)
+    assert len(pids) == 1  # the worker started before the failed fork
+    _assert_reaped(pids)
+    assert [p.name for p in (tmp_path / "parts").iterdir()] == ["trace.csv"]
+    assert (tmp_path / "parts" / "trace.csv").read_bytes() == (tmp_path / "one-cpu.csv").read_bytes()
+
+
+def test_csv_read_takes_the_serial_path_when_a_fork_fails(tmp_path, monkeypatch):
+    path = tmp_path / "large.csv"
+    path.write_text("\n".join(["t,a,b", *_large_csv_lines(60000)]) + "\n")
+    assert path.stat().st_size > 3 * traceio._MIN_PART_BYTES
+    monkeypatch.setattr(traceio, "_usable_cpus", lambda: 1)
+    t, cols = read_csv(path)
+    pids = _record_forks(monkeypatch, 3)
+    _fail_forks_after(monkeypatch, 1)
+    t_parts, cols_parts = read_csv(path)
+    assert len(pids) == 1
+    _assert_reaped(pids)
+    assert list(cols_parts) == list(cols)
+    got = np.column_stack([t_parts, *cols_parts.values()])
+    assert got.tobytes() == np.column_stack([t, *cols.values()]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "t_shape, label, message",
+    [((SPLIT, 2), "a", r"t has shape \(\d+, 2\)"),
+     ((SPLIT,), "t", "label 't'"),
+     ((SPLIT,), "a,b", "label 'a,b'"),
+     ((SPLIT,), "a\nb", r"label 'a\\nb'"),
+     ((SPLIT,), "a\rb", r"label 'a\\rb'")],
+    ids=["t-two-dimensional", "label-t", "label-comma", "label-lf", "label-cr"],
+)
+def test_csv_write_rejects_what_read_csv_would_not_read_back(
+    tmp_path, monkeypatch, t_shape, label, message
+):
+    pids = _record_forks(monkeypatch, 2)
+    with pytest.raises(ValueError, match=message):
+        write_csv(tmp_path / "trace.csv", np.zeros(t_shape), {label: np.zeros(SPLIT)})
+    assert pids == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_header_only_csv_reads_as_empty_columns(tmp_path):
@@ -789,12 +908,9 @@ for argv in (
 def test_command_line_runs_without_scipy(tmp_path):
     """scipy is a test dependency only: the commands neither load it nor
     need it."""
-    src = str(Path(m.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     done = subprocess.run(
         [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "out")],
-        env=env,
+        env=_env_with_src(),
         capture_output=True,
         text=True,
     )
