@@ -7,22 +7,54 @@ failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import config as cfgmod
-from .config import ConfigError, ScenarioConfig
-from .models import build_coupled_plant, input_record_labels
-from .pipeline import compute_metrics, estimate_scenario, simulate_scenario
-from .sim import SimulationDivergedError, Trace, sample_times
-from .traceio import read_csv, write_csv
+from .config import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .config import ScenarioConfig
+    from .sim import Trace
+
+#: What ``simulate`` and ``estimate`` use of numpy and the pipeline, by
+#: the module it comes from.  ``_load_runtime`` binds each name here on
+#: first use, so ``report`` loads none of it.  The commands look these
+#: names up in this module when they run, so a caller may replace one (the
+#: benchmark's tracer does); ``__getattr__`` loads a name asked for first.
+_RUNTIME = {
+    ".models": ("build_coupled_plant", "input_record_labels"),
+    ".pipeline": ("compute_metrics", "estimate_scenario", "simulate_scenario"),
+    ".sim": ("Trace", "sample_times"),
+    ".traceio": ("read_csv", "write_csv"),
+}
+_SOURCE = {name: module for module, names in _RUNTIME.items() for name in names}
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_SOURCE[name], __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _load_runtime() -> None:
+    """Bind numpy as ``np`` and each name of ``_RUNTIME`` that is not bound yet."""
+    global np
+    import numpy as np
+
+    for name in _SOURCE.keys() - globals().keys():
+        __getattr__(name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,6 +122,7 @@ def _trace_columns(trace: Trace, measured: bool) -> dict[str, np.ndarray]:
 
 
 def cmd_simulate(args) -> int:
+    _load_runtime()
     raw = _load_raw(args)
     sim = raw.get("simulation")
     if isinstance(sim, dict) and sim.get("duration_s") == 0:
@@ -156,6 +189,7 @@ def _read_trace(scn: ScenarioConfig, truth_path: Path, meas_path: Path) -> Trace
 
 
 def cmd_estimate(args) -> int:
+    _load_runtime()
     raw = _load_raw(args)
     scn = cfgmod.load_scenario_dict(raw)
     trace = _read_trace(scn, args.truth, args.measurements)
@@ -264,13 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (SimulationDivergedError, RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

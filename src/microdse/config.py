@@ -9,19 +9,22 @@ bundled ``three_bus.json`` encodes the reference three-DGU/three-bus system.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import jsonschema
-import numpy as np
-
-from .kalman import NoiseSpec
-from .models import DguParams, LineParams, MicrogridTopology
-from .sim import EventSchedule, LoadStep, RegulatorConfig, SimConfig, SimNoise
+# The model layers load numpy, which ``report`` never needs: the functions
+# that build runtime settings import them when called.
+if TYPE_CHECKING:
+    from .kalman import NoiseSpec
+    from .models import MicrogridTopology
+    from .sim import EventSchedule, SimConfig
 
 
 class ConfigError(ValueError):
@@ -44,9 +47,14 @@ def _data_text(name: str) -> str:
     return resources.files("microdse").joinpath("data", name).read_text(encoding="utf-8")
 
 
+@functools.cache
 def load_schema() -> dict:
-    """JSON schema every scenario file must satisfy."""
-    return json.loads(_data_text("config.schema.json"))
+    """JSON schema every scenario file must satisfy, parsed and checked for
+    keywords ``_schema_check`` does not support once per process; the one
+    copy is shared, so treat it as read-only."""
+    schema = json.loads(_data_text("config.schema.json"))
+    _refuse_unsupported(schema, schema)
+    return schema
 
 
 def bundled_config_dict() -> dict:
@@ -80,11 +88,13 @@ class MetricsSettings:
 
     def __post_init__(self):
         # chained comparisons are false for NaN
-        if not 0.0 < self.tracking_horizon_s < np.inf:
+        if not 0.0 < self.tracking_horizon_s < math.inf:
             raise ValueError(
                 f"tracking_horizon_s must be finite and positive, got {self.tracking_horizon_s!r}"
             )
-        if self.windows_s is not None and not np.isfinite(self.windows_s).all():
+        if self.windows_s is not None and not all(
+            math.isfinite(v) for window in self.windows_s for v in window
+        ):
             raise ValueError(f"windows_s must be finite, got {self.windows_s!r}")
 
     def resolved_windows(self, duration_s: float, events: EventSchedule):
@@ -155,18 +165,147 @@ def apply_overrides(raw: dict, overrides: dict) -> dict:
     return out
 
 
+#: The keywords ``_schema_check`` checks, with the meaning and the error
+#: words of JSON Schema draft 2020-12.  ``$ref`` must point into the root's
+#: ``$defs``.
+_CHECKED = frozenset({
+    "type", "properties", "additionalProperties", "required", "items", "minItems",
+    "maxItems", "minimum", "exclusiveMinimum", "enum", "$ref",
+})
+#: Keywords that check nothing; a schema holding any keyword in neither set
+#: is refused, so that no part of it goes unchecked.
+_INERT = frozenset({"$schema", "title", "$defs"})
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: _is_number(v)
+    and (isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+
+
+def _type_names(value) -> list:
+    return [value] if isinstance(value, str) else value
+
+
+def _target(root: dict, ref: str) -> dict | None:
+    prefix = "#/$defs/"
+    return root.get("$defs", {}).get(ref[len(prefix):]) if ref.startswith(prefix) else None
+
+
+def _refuse_unsupported(schema: dict, root: dict, where: str = "#") -> None:
+    """Raise ``NotImplementedError`` naming the first keyword, type or
+    reference in ``schema`` (at JSON pointer ``where`` of ``root``) that
+    ``_schema_errors`` does not check."""
+    if not isinstance(schema, dict):
+        raise NotImplementedError(f"schema at {where} is not an object")
+    for key, value in schema.items():
+        at = f"{where}/{key}"
+        if key not in _CHECKED and key not in _INERT:
+            raise NotImplementedError(f"schema keyword {key!r} at {where} is not supported")
+        if key == "type" and not set(_type_names(value)) <= _TYPES.keys():
+            raise NotImplementedError(f"schema type {value!r} at {where} is not a JSON type")
+        if key == "$ref" and _target(root, value) is None:
+            raise NotImplementedError(f"schema reference {value!r} at {where} is not into $defs")
+        if key in ("properties", "$defs"):
+            for name, sub in value.items():
+                _refuse_unsupported(sub, root, f"{at}/{name}")
+        elif key == "items" or key == "additionalProperties" and not isinstance(value, bool):
+            _refuse_unsupported(value, root, at)
+
+
+def _equal(a, b) -> bool:
+    """JSON equality, under which ``true`` is not ``1`` nor ``false`` ``0``."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return a is b or a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _schema_errors(instance, schema: dict, root: dict, path: tuple, out: list) -> None:
+    """Append ``(path, message)`` for each way ``instance``, found at
+    ``path``, breaks ``schema``, in the order of the schema's keywords."""
+    for key, value in schema.items():
+        if key == "type":
+            types = _type_names(value)
+            if not any(_TYPES[t](instance) for t in types):
+                out.append((path, f"{instance!r} is not of type {', '.join(map(repr, types))}"))
+        elif key == "enum":
+            if not any(_equal(each, instance) for each in value):
+                out.append((path, f"{instance!r} is not one of {value!r}"))
+        elif key == "$ref":
+            _schema_errors(instance, _target(root, value), root, path, out)
+        elif isinstance(instance, dict):
+            if key == "properties":
+                for name, sub in value.items():
+                    if name in instance:
+                        _schema_errors(instance[name], sub, root, (*path, name), out)
+            elif key == "required":
+                out.extend(
+                    (path, f"{name!r} is a required property")
+                    for name in value
+                    if name not in instance
+                )
+            elif key == "additionalProperties":
+                known = schema.get("properties", {})
+                extras = [name for name in instance if name not in known]
+                if isinstance(value, dict):
+                    for name in extras:
+                        _schema_errors(instance[name], value, root, (*path, name), out)
+                elif not value and extras:
+                    names = ", ".join(map(repr, sorted(extras, key=str)))
+                    verb = "was" if len(extras) == 1 else "were"
+                    out.append(
+                        (path, f"Additional properties are not allowed ({names} {verb} unexpected)")
+                    )
+        elif isinstance(instance, list):
+            if key == "items":
+                for index, item in enumerate(instance):
+                    _schema_errors(item, value, root, (*path, index), out)
+            elif key == "minItems" and len(instance) < value:
+                words = "should be non-empty" if value == 1 else "is too short"
+                out.append((path, f"{instance!r} {words}"))
+            elif key == "maxItems" and len(instance) > value:
+                words = "is expected to be empty" if value == 0 else "is too long"
+                out.append((path, f"{instance!r} {words}"))
+        elif _is_number(instance):
+            if key == "minimum" and instance < value:
+                out.append((path, f"{instance!r} is less than the minimum of {value!r}"))
+            elif key == "exclusiveMinimum" and instance <= value:
+                out.append(
+                    (path, f"{instance!r} is less than or equal to the minimum of {value!r}")
+                )
+
+
 def _schema_check(raw: dict, schema: dict | None = None, what: str = "configuration") -> None:
-    """Raise ``ConfigError`` naming the first place where ``raw`` breaks
-    ``schema`` (default: the scenario schema)."""
-    validator = jsonschema.Draft202012Validator(load_schema() if schema is None else schema)
-    errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
+    """Raise ``ConfigError`` naming the first place, in path order, where
+    ``raw`` breaks ``schema`` (default: the scenario schema); a schema with
+    a keyword outside ``_CHECKED`` and ``_INERT`` raises
+    ``NotImplementedError``."""
+    if schema is None:
+        schema = load_schema()
+    else:
+        _refuse_unsupported(schema, schema)
+    errors: list = []
+    _schema_errors(raw, schema, schema, (), errors)
     if errors:
-        err = errors[0]
-        path = ".".join(str(p) for p in err.absolute_path) or "$"
-        raise ConfigError(f"invalid {what} at {path}: {err.message}")
+        path, message = min(errors, key=lambda error: error[0])
+        raise ConfigError(f"invalid {what} at {'.'.join(map(str, path)) or '$'}: {message}")
 
 
 def _topology(raw: dict) -> MicrogridTopology:
+    from .models import DguParams, LineParams, MicrogridTopology
+
     t = raw["topology"]
     dgus_raw = sorted(t["dgus"], key=lambda d: d["bus"])
     buses = [d["bus"] for d in dgus_raw]
@@ -190,6 +329,8 @@ def _topology(raw: dict) -> MicrogridTopology:
 
 def _noise_spec(section: dict, name: str) -> NoiseSpec:
     """The noise of the JSON section ``name``; a line section has no inputs."""
+    from .kalman import NoiseSpec
+
     with _section(name):
         return NoiseSpec.from_std(
             section["process_std"],
@@ -205,6 +346,10 @@ def reference_amplitude(v_ll_rms: float) -> float:
 
 def load_scenario_dict(raw: dict) -> ScenarioConfig:
     """Validate a parsed scenario and build the runtime configuration."""
+    import numpy as np
+
+    from .sim import EventSchedule, LoadStep, RegulatorConfig, SimConfig, SimNoise
+
     _schema_check(raw)
     topology = _topology(raw)
     nb = topology.n_buses

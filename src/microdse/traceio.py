@@ -167,13 +167,23 @@ def write_csv(path: str | Path, t: np.ndarray, columns: dict[str, np.ndarray]) -
             shutil.copyfileobj(part, fh)
 
 
+def _not_utf8(lineno: int, line: bytes) -> str | None:
+    try:
+        line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"line {lineno} is not UTF-8: {exc}"
+    return None
+
+
 def _bad_row(path: Path, n_columns: int) -> str | None:
-    """The first data line that does not hold ``n_columns`` numbers, by
-    ``np.loadtxt``'s rule: a line ends at its first ``#``, and a line left
-    empty holds no row."""
-    with path.open(encoding="utf-8") as fh:
+    """The first data line that is not UTF-8 or does not hold ``n_columns``
+    numbers, by ``np.loadtxt``'s rule: a line ends at its first ``#``, and
+    a line left empty holds no row."""
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         next(fh)
         for lineno, line in enumerate(fh, start=2):
+            if problem := _not_utf8(lineno, line.encode("utf-8", "surrogateescape")):
+                return problem
             fields = line.rstrip("\r\n").split("#", 1)[0].split(",")
             if fields == [""]:
                 continue
@@ -270,6 +280,8 @@ def read_csv(path: str | Path) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         line = fh.readline()
         if not line:
             raise ValueError(f"{path}: empty file, expected a header row")
+        if problem := _not_utf8(1, line):
+            raise ValueError(f"{path}: {problem}")
         header = line.decode("utf-8").rstrip("\r\n").split(",")
         if header[0] != "t":
             raise ValueError(f"{path}: first column must be 't', got {header[:1]}")

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import importlib
 import json
 import math
 import os
@@ -307,14 +308,16 @@ def test_csv_read_in_parts_matches_one_loadtxt(tmp_path, monkeypatch, newline, f
 @pytest.mark.parametrize(
     "bad_line, message",
     [("0.5,abc,1.0", "could not convert string to float: 'abc'"),
-     ("0.5,1.0", "has 2 columns, the header has 3")],
-    ids=["non-numeric", "ragged"],
+     ("0.5,1.0", "has 2 columns, the header has 3"),
+     # written as the byte 0xff
+     ("0.5,\udcff1.0,2.0", "is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 4")],
+    ids=["non-numeric", "ragged", "not-utf8"],
 )
 def test_csv_read_in_parts_fails_like_the_serial_read(tmp_path, monkeypatch, bad_line, message):
     lines = _large_csv_lines(40000, comments=False)
     lines[-10] = bad_line
     path = tmp_path / "bad.csv"
-    path.write_text("\n".join(["t,a,b", *lines]) + "\n")
+    path.write_text("\n".join(["t,a,b", *lines]) + "\n", errors="surrogateescape")
     assert path.stat().st_size > 2 * traceio._MIN_PART_BYTES
     errors = []
     for cpus in (2, 1):
@@ -522,6 +525,24 @@ def test_estimate_rejects_a_repeated_trace_column(short_config, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "truth.csv: column 'v_d1' appears more than once" in err
+
+
+@pytest.mark.parametrize("lineno", [1, 3], ids=["header", "data-line"])
+def test_estimate_names_the_line_of_a_trace_that_is_not_utf8(tmp_path, capsys, lineno):
+    out = tmp_path / "bytes"
+    run = ("--duration", 0.05, "--event-time", 0.025, "--out", out)
+    assert run_cli("simulate", *run) == 0
+    path = out / "measurements.csv"
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = lines[lineno - 1].replace(b",", b",\xff", 1)
+    path.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert run_cli("estimate", *run, "--truth", out / "truth.csv", "--measurements", path) == 1
+    position = lines[lineno - 1].index(0xFF)
+    assert capsys.readouterr().err == (
+        f"error: {path}: line {lineno} is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+        f"in position {position}: invalid start byte\n"
+    )
 
 
 def test_csv_nan_tokens_parse(tmp_path):
@@ -888,10 +909,11 @@ import sys
 
 import microdse.cli
 
-loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+blocked = ("jsonschema", "scipy")
+loaded = sorted(name for name in sys.modules if name.split(".")[0] in blocked)
 assert not loaded, f"importing microdse.cli loaded {loaded}"
-# from here on, any import of scipy fails
-sys.modules["scipy"] = None
+# from here on, any import of jsonschema or scipy fails
+sys.modules.update(dict.fromkeys(blocked))
 out = sys.argv[1]
 run = ["--duration", "0.05", "--event-time", "0.025", "--out", out]
 for argv in (
@@ -906,8 +928,8 @@ for argv in (
 
 
 def test_command_line_runs_without_scipy(tmp_path):
-    """scipy is a test dependency only: the commands neither load it nor
-    need it."""
+    """scipy and jsonschema are test dependencies only: the commands
+    neither load them nor need them."""
     done = subprocess.run(
         [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path / "out")],
         env=_env_with_src(),
@@ -916,3 +938,77 @@ def test_command_line_runs_without_scipy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads((tmp_path / "out" / "metrics.json").read_text())["channels"]
+
+
+_REPORT_ALONE = """
+import sys
+
+from microdse.cli import main
+
+code = main(["report", "--metrics", sys.argv[1]])
+loaded = sorted(name for name in sys.modules if name.split(".")[0] in ("numpy", "jsonschema"))
+assert not loaded, f"report loaded {loaded}"
+sys.exit(code)
+"""
+
+
+def test_report_loads_neither_numpy_nor_jsonschema(tmp_path):
+    path = tmp_path / "metrics.json"
+    path.write_text(json.dumps({
+        "channels": {"v_d1": {"windows": [{
+            "window_s": [1.0, 2.0], "rmse_estimate": 1.0, "rmse_measurement": 4.0,
+            "improvement_ratio": 0.25,
+        }]}},
+    }))
+    done = subprocess.run(
+        [sys.executable, "-c", _REPORT_ALONE, str(path)],
+        env=_env_with_src(),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "v_d1" in done.stdout
+
+
+#: Every name the package exported when it imported its submodules eagerly,
+#: by the submodule that defines it.
+_EXPORTED = {
+    "config": [
+        "ConfigError", "EstimationSettings", "MetricsSettings", "ScenarioConfig",
+        "bundled_config_dict", "bundled_scenario", "load_scenario", "load_scenario_dict",
+    ],
+    "discretize": [
+        "CONDITION_LIMIT", "DiscreteLtiModel", "discretize_euler", "discretize_exact",
+        "matrix_exponential",
+    ],
+    "estimation": [
+        "EstimateTrace", "GlobalEstimator", "LocalEstimator", "build_global_estimator",
+        "build_local_estimator", "global_input_covariance", "local_posterior_covariance",
+        "rmse", "run_global", "run_local", "run_locals", "tracking_recovery_time",
+    ],
+    "kalman": [
+        "KalmanEstimator", "NoiseSpec", "effective_process_noise", "steady_state_covariance",
+    ],
+    "models": [
+        "ContinuousLtiModel", "DguParams", "LineParams", "MicrogridTopology",
+        "build_coupled_plant", "build_dgu_model", "build_line_model",
+    ],
+    "pipeline": ["EstimationResult", "compute_metrics", "estimate_scenario", "simulate_scenario"],
+    "sim": [
+        "EventSchedule", "LoadStep", "RegulatorConfig", "SimConfig", "SimNoise",
+        "SimulationDivergedError", "Trace", "closed_loop_matrix", "downsample", "run_plant",
+    ],
+}
+
+
+def test_package_exports_each_name_of_its_submodules():
+    listed = dir(m)
+    for module_name, names in _EXPORTED.items():
+        module = importlib.import_module(f"microdse.{module_name}")
+        assert getattr(m, module_name) is module and module_name in listed
+        for name in names:
+            assert getattr(m, name) is getattr(module, name), name
+            assert name in listed and name in m.__all__, name
+    assert m.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        m.nothing
