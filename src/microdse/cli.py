@@ -194,6 +194,8 @@ def cmd_estimate(args) -> int:
     scn = cfgmod.load_scenario_dict(raw)
     trace = _read_trace(scn, args.truth, args.measurements)
     result = estimate_scenario(scn, trace)
+    # scored first, so that a run that cannot be scored writes no file
+    metrics = compute_metrics(scn, result)
     out = _out_dir(args, raw)
     for bus, etr in sorted(result.local_estimates.items()):
         cols = {lab: etr.x_hat[:, i] for i, lab in enumerate(etr.labels)}
@@ -206,7 +208,6 @@ def cmd_estimate(args) -> int:
     cols["nis"] = g.nis
     write_csv(out / "global.csv", g.t, cols)
     print(f"wrote {out / 'global.csv'}")
-    metrics = compute_metrics(scn, result)
     metrics_path = out / "metrics.json"
     metrics_path.write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n")
     print(f"wrote {metrics_path}")

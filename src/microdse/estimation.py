@@ -305,13 +305,16 @@ def rmse(estimate: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, float]:
     return np.sqrt(sq.mean(axis=1)), float(np.sqrt(sq.mean()))
 
 
+#: Error magnitude, in pre-event RMS units, below which a group has recovered.
+RECOVERY_FACTOR = 3.0
+
+
 def tracking_recovery_time(
     t: np.ndarray,
     errors: np.ndarray,
     pre_mask: np.ndarray,
     event_time: float,
     horizon_s: float,
-    factor: float = 3.0,
 ) -> float | np.ndarray:
     """Seconds after ``event_time`` until the estimation error is back at its
     steady level.
@@ -321,10 +324,11 @@ def tracking_recovery_time(
     own; the result is then an array of G times.  The per-channel errors
     are normalized by their RMS over the samples of ``pre_mask``, combined
     into one RMS magnitude per sample and group, and the recovery instant
-    is the first time from which that magnitude stays below ``factor`` for
-    the rest of the horizon.  A group that never settles within the
-    horizon gets ``inf``.  Raises ``ValueError`` when the pre-event window
-    holds no sample, or when a channel has no error in it.
+    is the first time from which that magnitude stays below
+    ``RECOVERY_FACTOR`` (3) for the rest of the horizon.  A group that
+    never settles within the horizon gets ``inf``.  Raises ``ValueError``
+    when the pre-event window holds no sample, or when a channel has no
+    error in it.
     """
     t = np.asarray(t, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -340,7 +344,7 @@ def tracking_recovery_time(
     scaled = errors[post]
     scaled /= sigma
     norm = np.sqrt(np.square(scaled, out=scaled).mean(axis=-1))
-    above = norm >= factor
+    above = norm >= RECOVERY_FACTOR
     n_post = norm.shape[0]
     # the sample after each group's last one above the factor; 0 for none
     settled = np.where(above.any(axis=0), n_post - np.argmax(above[::-1], axis=0), 0)

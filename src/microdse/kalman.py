@@ -15,15 +15,16 @@ gain (Anderson & Moore, *Optimal Filtering*, 1979, ch. 4).  Both layers
 run on stacks of filters, so many independent filters cost one loop of
 batched small-matrix operations.  The covariance layer works on (B, n, n)
 arrays and each filter leaves the stack when it converges.  The state pass
-steps the filters still inside their schedules one sample at a time, then
-runs each filter's steady-gain remainder from its own convergence step as
-a blocked linear recursion, a bounded segment of rows at a time, on
-shapes shared by the whole stack: a filter whose remainder has ended runs
-on zero input and its rows are discarded, and a recursion has one
-remainder after its last full block for the whole stack.  A filter's
-schedule and estimates are the same, bit for bit, for every B and stack
-order (for the estimates, under the BLAS condition that
-``filter_record`` states), and a lone filter is a stack of one.
+steps the whole stack one sample at a time through the longest schedule,
+a filter past its own cut holding its last gain, then runs each filter's
+steady-gain remainder from its own convergence step as a blocked linear
+recursion, a bounded segment of rows at a time, on shapes shared by the
+whole stack: a filter whose remainder has ended runs on zero input and
+its rows are discarded, and a recursion has one remainder after its last
+full block for the whole stack.  A filter's schedule and estimates are
+the same, bit for bit, for every B and stack order (for the estimates,
+under the BLAS condition that ``filter_record`` states), and a lone
+filter is a stack of one.
 ``steady_state_covariance`` takes the limit directly from the discrete
 algebraic Riccati equation (DARE), solved by the structure-preserving
 doubling algorithm (SDA; Anderson, Int. J. Control 1978; Lin & Xu, SIAM
@@ -151,6 +152,15 @@ def _right_factor(m: np.ndarray) -> np.ndarray:
 def _apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """m v for each matrix of the stack ``m`` and vector of ``v``."""
     return (m @ v[..., None])[..., 0]
+
+
+def _quadratic_form(d: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """d^T m d for each vector of ``d`` and matrix of the stack ``m``, its
+    terms (d_i m_ij) d_j summed one after another in row-major order, so
+    that each value rounds the same for every stack shape (``np.einsum``
+    picks its summation order from the operand shapes)."""
+    terms = d[..., :, None] * m * d[..., None, :]
+    return np.cumsum(terms.reshape(*d.shape[:-1], d.shape[-1] ** 2), axis=-1)[..., -1]
 
 
 def _predict_covariance(a_d: np.ndarray, p: np.ndarray, q_eff: np.ndarray) -> np.ndarray:
@@ -292,11 +302,6 @@ class GainSchedule:
     converged: np.ndarray
 
 
-#: Updates per filter that ``gain_schedule`` first makes room for; the
-#: room doubles as needed.
-_SCHEDULE_ROWS = 64
-
-
 def gain_schedule(
     a_d: np.ndarray, q_eff: np.ndarray, r: np.ndarray, p0: np.ndarray, max_steps: int
 ) -> GainSchedule:
@@ -311,31 +316,26 @@ def gain_schedule(
     other filters.  The arithmetic is the same for every B, so a filter run
     alone (B = 1) gets the same schedule bit for bit as in any stack.
 
-    Returns the stack's schedule, read-only and in stack order, each
-    filter's rows one contiguous block; ``schedules_of`` caches it whole,
-    one entry per stack.  Raises
-    ``CovarianceError`` for the filter whose innovation covariance fails
-    at the earliest update; of several failing at that update, the first
-    in the stack is reported.
+    Each update's gains and S^-1 are kept for the filters it ran, and the
+    read-only stack (B, M, n, n), M the longest length, is filled once
+    after the last update; ``schedules_of`` caches it whole, one entry per
+    stack.  Raises ``CovarianceError`` for the filter whose innovation
+    covariance fails at the earliest update; of several failing at that
+    update, the first in the stack is reported.
     """
     a_d, q_eff, r, p = (np.asarray(m, dtype=float) for m in (a_d, q_eff, r, p0))
     n_filters, n = a_d.shape[:2]
     active = np.arange(n_filters)
-    gains = np.empty((n_filters, min(max_steps, _SCHEDULE_ROWS), n, n))
-    s_invs = np.empty_like(gains)
-    lengths = np.zeros(n_filters, dtype=int)
+    updates = []
+    lengths = np.full(n_filters, max_steps)
     converged = np.zeros(n_filters, dtype=bool)
     final_p = p.copy()
     for step in range(1, max_steps + 1):
-        if step > gains.shape[1]:
-            rows = min(max_steps, 2 * gains.shape[1])
-            gains, s_invs = (_extended(buf, rows) for buf in (gains, s_invs))
         try:
             k, s_inv, p_next = _update_covariance(_predict_covariance(a_d, p, q_eff), r)
         except CovarianceError as exc:
             raise CovarianceError(step, str(exc), index=int(active[exc.index])) from None
-        gains[active, step - 1] = k
-        s_invs[active, step - 1] = s_inv
+        updates.append((active, k, s_inv))
         done = np.abs(p_next - p).max(axis=(1, 2)) <= STEADY_STATE_RTOL * np.maximum(
             1.0, np.abs(p_next).max(axis=(1, 2))
         )
@@ -349,21 +349,15 @@ def gain_schedule(
             active, a_d, q_eff, r, p = (m[keep] for m in (active, a_d, q_eff, r, p))
             if not active.size:
                 break
-    lengths[active] = max_steps
     final_p[active] = p
-    # a cached schedule then holds no rows past the longest filter's
-    rows = lengths.max(initial=0)
-    gains, s_invs = gains[:, :rows].copy(), s_invs[:, :rows].copy()
+    gains = np.empty((n_filters, len(updates), n, n))
+    s_invs = np.empty_like(gains)
+    for row, (filters, k, s_inv) in enumerate(updates):
+        gains[filters, row] = k
+        s_invs[filters, row] = s_inv
     for m in (gains, s_invs, lengths, final_p, converged):
         m.setflags(write=False)
     return GainSchedule(gains, s_invs, lengths, final_p, converged)
-
-
-def _extended(buf: np.ndarray, rows: int) -> np.ndarray:
-    """``buf`` (B, steps, n, n) with room for ``rows`` steps."""
-    out = np.empty((buf.shape[0], rows, *buf.shape[2:]))
-    out[:, : buf.shape[1]] = buf
-    return out
 
 
 #: Rows per block of ``_linear_recursion``.
@@ -470,17 +464,18 @@ def filter_record(
     raises ``CovarianceError`` with the failed filter's index.  The state
     pass then runs in two segments:
 
-    * updates 1..max m_i, one sample at a time, each for the filters still
-      inside their own schedule (filter i's is m_i updates long);
+    * updates 1..M, M the longest schedule, one sample at a time for the
+      whole stack; at update k filter i applies the gain of its update
+      min(k, m_i), m_i its schedule's length;
     * once filter i's gain has converged to K, the rest of its record is
       the linear recursion x_k = (I - K) A x_{k-1} + (I - K) B u_{k-1} +
-      K z_k.  Every filter runs it from its own cut m_i through
-      ``_linear_recursion``, in segments of whole blocks of at most
-      ``_SEGMENT_VALUES`` values per working array, and each segment hands
-      the next the start of its next block, so that no row depends on
-      where a segment ends.  Every filter runs through every segment: one
-      whose record has ended runs on zero input, and those rows are
-      discarded.
+      K z_k.  Every filter with such a tail runs it from its own cut m_i
+      through ``_linear_recursion``, replacing the rows that the first
+      segment stepped past the cut, in segments of whole blocks of at most
+      ``_SEGMENT_VALUES`` values per working array; each segment hands the
+      next the start of its next block, so that no row depends on where a
+      segment ends.  A filter whose tail has ended runs on zero input, and
+      those rows are discarded.
 
     The filters are read, not changed, so a second run on the same
     filters gives the same results.  A filter's results are the same, bit
@@ -497,79 +492,75 @@ def filter_record(
         raise ValueError("empty record")
     index = np.arange(len(filters)) if index is None else np.asarray(index)
     sched = schedules_of(filters, z.shape[0] - 1)
-    # longest schedule first: the filters inside their schedules at an
-    # update are then a prefix of ``order``
-    order = np.argsort(-sched.lengths, kind="stable")
     a_d = np.array([kf.model.a_d for kf in filters])
     b_d = np.array([kf.model.b_d for kf in filters])
     x_hat = np.empty((len(filters), z.shape[0], z.shape[2]))
     nis = np.full(x_hat.shape[:2], np.nan)
     x_hat[:, 0] = z[0, index]
-    _schedule_segment(sched, a_d, b_d, order, z, u, index, x_hat, nis)
-    _steady_tails(sched, a_d, b_d, order, z, u, index, x_hat, nis)
+    _schedule_segment(sched, a_d, b_d, z, u, index, x_hat, nis)
+    _steady_tails(sched, a_d, b_d, z, u, index, x_hat, nis)
     return x_hat, nis
 
 
-def _schedule_segment(sched, a_d, b_d, order, z, u, index, x_hat, nis):
-    """Updates 1..max m_i of ``filter_record``, one sample at a time, each
-    for the filters whose schedules reach it.  The gains are gathered in
-    stack order once, so this transient copy is at most the size of the
-    cached schedule it is read from."""
-    cuts = sched.lengths[order]
-    # filters inside their schedules at update k: order[:active[k - 1]]
-    active = np.searchsorted(-cuts, -np.arange(1, cuts[0] + 1), side="right")
-    gains = sched.gains[order].swapaxes(0, 1)
-    zs = z[1 : cuts[0] + 1, index[order]]
+def _schedule_segment(sched, a_d, b_d, z, u, index, x_hat, nis):
+    """Updates 1..M of ``filter_record``, M the longest schedule, one
+    sample at a time for the whole stack.  At update k filter i reads its
+    gain and S^-1 at row min(k, m_i) - 1, so a filter past its cut keeps
+    stepping with its last gain; ``_steady_tails`` rewrites those rows.
+    The gathered gains, then S^-1, are each a transient copy the size of
+    the cached schedule they are read from."""
+    steps = sched.gains.shape[1]
+    stack = np.arange(len(index))
+    rows = np.minimum(np.arange(1, steps + 1)[:, None], sched.lengths) - 1
+    zs = z[1 : steps + 1, index]
     # B u as the rows of one matrix product per filter, of at least two rows
-    us = u[: max(cuts[0], 2), index[order]].swapaxes(0, 1)
-    bu = (np.ascontiguousarray(us) @ _right_factor(b_d[order])).swapaxes(0, 1)
-    innovation = np.empty((cuts[0], order.size, x_hat.shape[2]))
-    a_d = a_d[order]
-    x = x_hat[order, 0]
-    for k, c in enumerate(active, start=1):
-        x_prior = _apply(a_d[:c], x[:c]) + bu[k - 1, :c]
-        d = innovation[k - 1, :c] = zs[k - 1, :c] - x_prior
-        x = x_prior + _apply(gains[k - 1, :c], d)
-        x_hat[order[:c], k] = x
-    for j, i in enumerate(order):
-        d = innovation[: cuts[j], j]
-        nis[i, 1 : 1 + cuts[j]] = np.einsum("ki,kij,kj->k", d, sched.s_inv[i, : cuts[j]], d)
+    us = u[: max(steps, 2), index].swapaxes(0, 1)
+    bu = (np.ascontiguousarray(us) @ _right_factor(b_d)).swapaxes(0, 1)
+    innovation = np.empty((steps, len(index), x_hat.shape[2]))
+    gains = sched.gains[stack, rows]
+    x = x_hat[:, 0]
+    for k in range(1, steps + 1):
+        x_prior = _apply(a_d, x) + bu[k - 1]
+        d = innovation[k - 1] = zs[k - 1] - x_prior
+        x = x_hat[:, k] = x_prior + _apply(gains[k - 1], d)
+    del gains
+    nis[:, 1 : steps + 1] = _quadratic_form(innovation, sched.s_inv[stack, rows]).T
 
 
-def _steady_tails(sched, a_d, b_d, order, z, u, index, x_hat, nis):
+def _steady_tails(sched, a_d, b_d, z, u, index, x_hat, nis):
     """The records of ``filter_record`` after each filter's cut, as one
-    stack of linear recursions run a segment at a time.  Every filter runs
-    through every segment; one whose tail has ended runs on zero input,
-    and those rows are discarded."""
+    stack of linear recursions run a segment at a time.  Every filter with
+    a tail runs through every segment; one whose tail has ended runs on
+    zero input, and those rows are discarded."""
     n_rec, n = x_hat.shape[1:]
-    cuts = sched.lengths[order]
-    # ascending, since ``order`` sorts the cuts descending
-    tails = n_rec - 1 - cuts
-    order, cuts, tails = (a[tails > 0] for a in (order, cuts, tails))
-    if not order.size:
+    tailed = np.flatnonzero(sched.lengths < n_rec - 1)
+    if not tailed.size:
         return
-    a_d = a_d[order]
-    k_inf = sched.gains[order, cuts - 1]
+    cuts = sched.lengths[tailed]
+    tails = n_rec - 1 - cuts
+    longest = int(tails.max())
+    a_d = a_d[tailed]
+    k_inf = sched.gains[tailed, cuts - 1]
     i_k = np.eye(n) - k_inf
     f = i_k @ a_d
     f_block = np.linalg.matrix_power(f, _BLOCK)
     # right factors of the row products below
     a_dt, b_dt, k_t, i_kt, s_inv_t = (
-        _right_factor(m) for m in (a_d, b_d[order], k_inf, i_k, sched.s_inv[order, cuts - 1])
+        _right_factor(m) for m in (a_d, b_d[tailed], k_inf, i_k, sched.s_inv[tailed, cuts - 1])
     )
     # at least two blocks, so that no block pass multiplies a single row
-    seg_blocks = max(2, _SEGMENT_VALUES // (order.size * n * _BLOCK))
-    x_prev = start = x_hat[order, cuts]
+    seg_blocks = max(2, _SEGMENT_VALUES // (tailed.size * n * _BLOCK))
+    x_prev = start = x_hat[tailed, cuts]
     done = 0
-    while done < tails[-1]:
-        blocks = min(seg_blocks, max(2, -(-(int(tails[-1]) - done) // _BLOCK)))
+    while done < longest:
+        blocks = min(seg_blocks, max(2, -(-(longest - done) // _BLOCK)))
         rows = blocks * _BLOCK
         valid = np.clip(tails - done, 0, rows)
         # the segment holds samples at + 0..rows-1 of each filter
         at = cuts + 1 + done
-        zs = np.zeros((order.size, rows, n))
-        us = np.zeros((order.size, rows, u.shape[2]))
-        for j, i in enumerate(order):
+        zs = np.zeros((tailed.size, rows, n))
+        us = np.zeros((tailed.size, rows, u.shape[2]))
+        for j, i in enumerate(tailed):
             a, v, r = at[j], valid[j], index[i]
             zs[j, :v] = z[a : a + v, r]
             us[j, :v] = u[a - 1 : a - 1 + v, r]
@@ -585,7 +576,7 @@ def _steady_tails(sched, a_d, b_d, order, z, u, index, x_hat, nis):
         start = _linear_recursion(f, start, x, f_block)
         zs -= np.concatenate([x_prev[:, None], x[:, :-1]], axis=1) @ a_dt
         seg_nis = np.einsum("bki,bki->bk", zs @ s_inv_t, zs)
-        for j, i in enumerate(order):
+        for j, i in enumerate(tailed):
             a, v = at[j], valid[j]
             x_hat[i, a : a + v] = x[j, :v]
             nis[i, a : a + v] = seg_nis[j, :v]

@@ -885,7 +885,8 @@ def test_event_at_time_zero_fails_estimate_with_a_plain_error(short_config, tmp_
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "event at 0.0 s: pre-event window holds no samples" in err
-    assert not (out / "metrics.json").exists()
+    # scoring fails before any estimate is written
+    assert sorted(p.name for p in out.iterdir()) == ["measurements.csv", "truth.csv"]
 
 
 def test_derived_windows_leave_out_a_window_the_run_has_no_room_for(short_config, tmp_path):

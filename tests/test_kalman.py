@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -453,6 +454,8 @@ def _compare_stack_with_oracle(filters, steps, rng):
     radii=st.lists(st.floats(0.0, 0.999), min_size=6, max_size=6),
     steps=st.integers(1, 400),
 )
+# a one-sample record: an empty schedule and no update
+@example(seed=0, n_filters=3, n=2, n_inputs=1, radii=[0.5] * 6, steps=1)
 def test_stacked_schedule_matches_step_oracle(seed, n_filters, n, n_inputs, radii, steps):
     filters = [
         _random_filter(seed + i, n, n_inputs, radii[i])[:4] for i in range(n_filters)
@@ -542,6 +545,37 @@ def test_stack_cut_inside_some_schedules_equals_each_filter_alone():
         np.testing.assert_array_equal(sched.s_inv, solo.s_inv[:m])
         if sched.converged:
             np.testing.assert_array_equal(sched.p, solo.p)
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+def test_rows_past_each_schedule_are_never_read(monkeypatch, poison):
+    """Every row of a cached schedule past its filter's length is NaN or
+    inf; the stack, whose cuts differ and whose records go on past every
+    cut, gives the same bits as with the schedule as computed.  A NaN row
+    that is read shows in the bits unless a later row replaces it; an inf
+    row that is read raises a RuntimeWarning either way."""
+    filters = [
+        _random_filter(seed, 4, 2, radius)[:4]
+        for seed, radius in ((6, 0.5), (3, 0.9), (4, 0.9))
+    ]
+    estimators = [KalmanEstimator(model, q_eff=q, r=r, p0=p0) for model, q, r, p0 in filters]
+    rng = np.random.default_rng(12)
+    steps = 130 + 3 * kalman._BLOCK + 5
+    z = rng.standard_normal((steps, len(filters), 4)) * 10.0 + 50.0
+    u = rng.standard_normal((steps, len(filters), 2))
+    expected = filter_record(estimators, z, u)
+    sched = schedules_of(estimators, steps - 1)
+    assert len(set(sched.lengths)) == len(filters) and sched.converged.all()
+    gains, s_inv = sched.gains.copy(), sched.s_inv.copy()
+    for i, length in enumerate(sched.lengths):
+        gains[i, length:] = s_inv[i, length:] = poison
+    poisoned = dataclasses.replace(sched, gains=gains, s_inv=s_inv)
+    monkeypatch.setattr(kalman, "_schedules", lambda *key: poisoned)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        actual = filter_record(estimators, z, u)
+    for got, want in zip(actual, expected):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_stacked_schedule_reports_the_earliest_failure_then_the_first_in_stack():
