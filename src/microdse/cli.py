@@ -174,6 +174,10 @@ def _read_trace(scn: ScenarioConfig, truth_path: Path, meas_path: Path) -> Trace
             )
     x_true = np.column_stack([truth_cols[lab] for lab in state_labels])
     u_true = np.column_stack([truth_cols[lab] for lab in input_labels])
+    # t and the columns are views of the parsed truth: release it before
+    # the measurement blocks are stacked
+    t = t.copy()
+    del truth_cols
     z_state = np.column_stack([meas_cols[lab] for lab in state_labels])
     u_meas = np.column_stack([meas_cols[lab] for lab in input_labels])
     return Trace(

@@ -210,9 +210,9 @@ def run_locals(estimators: list[LocalEstimator], trace: Trace) -> dict[int, Esti
 
     All buses run as one stack through ``kalman.filter_record``, which
     reads each bus's columns of the trace; ``run_local`` then wraps each
-    bus's share.  Each filter leaves the stack at its own convergence
-    step, so a bus gets the same result, bit for bit, alone as in any
-    batch.  If several buses fail, the one reported is the bus whose
+    bus's share.  Each filter converges at its own step and then repeats
+    its last update, so a bus gets the same result, bit for bit, alone as
+    in any batch.  If several buses fail, the one reported is the bus whose
     covariance fails at the earliest sample; of several failing at that
     sample, the first in ``estimators``.  The estimators are not changed,
     so running them again gives the same results.
@@ -327,8 +327,8 @@ def tracking_recovery_time(
     is the first time from which that magnitude stays below
     ``RECOVERY_FACTOR`` (3) for the rest of the horizon.  A group that
     never settles within the horizon gets ``inf``.  Raises ``ValueError``
-    when the pre-event window holds no sample, or when a channel has no
-    error in it.
+    when the pre-event window holds no sample, when a channel has no error
+    in it, or when the horizon holds no sample after the event's first.
     """
     t = np.asarray(t, dtype=float)
     errors = np.asarray(errors, dtype=float)
@@ -339,8 +339,8 @@ def tracking_recovery_time(
     if (sigma <= 0.0).any():
         raise ValueError("pre-event window has zero error variance on some channel")
     post = (t >= event_time) & (t <= event_time + horizon_s)
-    if not post.any():
-        raise ValueError("no samples inside the recovery horizon")
+    if np.count_nonzero(post) < 2:
+        raise ValueError("recovery horizon holds no sample after the event's first")
     scaled = errors[post]
     scaled /= sigma
     norm = np.sqrt(np.square(scaled, out=scaled).mean(axis=-1))

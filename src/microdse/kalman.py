@@ -14,9 +14,10 @@ then applies those gains, with the last one held as the steady-state
 gain (Anderson & Moore, *Optimal Filtering*, 1979, ch. 4).  Both layers
 run on stacks of filters, so many independent filters cost one loop of
 batched small-matrix operations.  The covariance layer works on (B, n, n)
-arrays and each filter leaves the stack when it converges.  The state pass
-steps the whole stack one sample at a time through the longest schedule,
-a filter past its own cut holding its last gain, then runs each filter's
+arrays until the slowest filter converges; a converged filter repeats its
+last update, so every row of the schedule is defined.  The state pass
+steps the whole stack one sample at a time through those rows, a filter
+past its own cut applying its last gain again, then runs each filter's
 steady-gain remainder from its own convergence step as a blocked linear
 recursion, a bounded segment of rows at a time, on shapes shared by the
 whole stack: a filter whose remainder has ended runs on zero input and
@@ -31,16 +32,16 @@ doubling algorithm (SDA; Anderson, Int. J. Control 1978; Lin & Xu, SIAM
 J. Matrix Anal. Appl. 2006) in a few dozen matrix products.
 
 None of this work reads a measurement, so a process does it once per
-content.  The schedule stays one read-only stack (B, M, n, n), in the
-shape it is computed in and that the state pass reads, and each kind of
-work has its own LRU cache, keyed on the exact bytes and shapes of the
-model and noise matrices (``_content_key``): ``_schedules`` holds 8
-stacked schedules for ``schedules_of``, and ``_steady`` 1 024 steady
-posteriors for ``steady_state_covariance``.  Runs with the same model and
-noise, such as Monte Carlo seeds, then share them.  An estimation run of
-N buses looks up two schedules (local and global) and N steady
-posteriors, so on the 30-bus benchmark mesh every run after the first
-hits all 32 lookups.
+content.  The schedule stays one read-only time-major stack (M, B, n,
+n), in the shape it is computed in and that the state pass reads, and
+each kind of work has its own LRU cache, keyed on the exact bytes and
+shapes of the model and noise matrices (``_content_key``):
+``_schedules`` holds 8 stacked schedules for ``schedules_of``, and
+``_steady`` 1 024 steady posteriors for ``steady_state_covariance``.
+Runs with the same model and noise, such as Monte Carlo seeds, then
+share them.  An estimation run of N buses looks up two schedules (local
+and global) and N steady posteriors, so on the 30-bus benchmark mesh
+every run after the first hits all 32 lookups.
 ``KalmanEstimator`` holds one filter's validated model, noise and
 initial estimate, which ``filter_record`` reads and never changes.  Its
 per-step ``predict``/``update``/``step`` are the same recursion one
@@ -286,13 +287,13 @@ class GainSchedule:
     """The first updates of the recursions of a stack of B filters, which
     depend on no data; every array is read-only.
 
-    Filter i's schedule is ``lengths[i]`` updates long: ``gains[i, k]`` and
-    ``s_inv[i, k]`` (B, M, n, n), M the longest length, are the gain and
+    Filter i's schedule is ``lengths[i]`` updates long: ``gains[k, i]`` and
+    ``s_inv[k, i]`` (M, B, n, n), M the longest length, are the gain and
     the inverse innovation covariance of its update k + 1, for
-    k < ``lengths[i]``, and its later rows are never read.  ``p[i]`` is
-    its posterior covariance after the last of them.  When
-    ``converged[i]``, that posterior agrees with the one before it, and
-    the last gain serves every later update.
+    k < ``lengths[i]``; its later rows repeat the last of them, bit for
+    bit.  ``p[i]`` is its posterior covariance after the last of them.
+    When ``converged[i]``, that posterior agrees with the one before it,
+    and the last gain serves every later update.
     """
 
     gains: np.ndarray
@@ -310,54 +311,50 @@ def gain_schedule(
     ``a_d``, ``q_eff``, ``r`` and ``p0`` are stacks (B, n, n): filter i
     runs the predict/update recursion of ``KalmanEstimator`` without the
     state, from the covariance ``p0[i]`` of its initial estimate, for at
-    most ``max_steps`` updates.  Each filter stops once its consecutive
-    posteriors agree to ``STEADY_STATE_RTOL`` and then drops out of the
-    stack, so its schedule, and whether it fails, do not depend on the
-    other filters.  The arithmetic is the same for every B, so a filter run
-    alone (B = 1) gets the same schedule bit for bit as in any stack.
+    most ``max_steps`` updates.  Filter i's schedule ends once its
+    consecutive posteriors agree to ``STEADY_STATE_RTOL``; from then on it
+    is fed the prior of its last update again, so its gain, S^-1 and
+    posterior repeat bit for bit and it cannot fail.  The stack runs until
+    its slowest filter converges.  The arithmetic is the same for every B,
+    so a filter run alone (B = 1) gets the same schedule bit for bit as in
+    any stack, and whether it fails does not depend on the other filters.
 
-    Each update's gains and S^-1 are kept for the filters it ran, and the
-    read-only stack (B, M, n, n), M the longest length, is filled once
+    Each update's gains and S^-1 make one row (B, n, n) of the read-only
+    time-major stack (M, B, n, n), M the longest length, assembled once
     after the last update; ``schedules_of`` caches it whole, one entry per
     stack.  Raises ``CovarianceError`` for the filter whose innovation
     covariance fails at the earliest update; of several failing at that
     update, the first in the stack is reported.
     """
-    a_d, q_eff, r, p = (np.asarray(m, dtype=float) for m in (a_d, q_eff, r, p0))
+    a_d, q_eff, r = (np.asarray(m, dtype=float) for m in (a_d, q_eff, r))
+    # a copy, so that the read-only posteriors of a schedule without
+    # updates are not the caller's array
+    p = np.array(p0, dtype=float)
     n_filters, n = a_d.shape[:2]
-    active = np.arange(n_filters)
-    updates = []
     lengths = np.full(n_filters, max_steps)
     converged = np.zeros(n_filters, dtype=bool)
-    final_p = p.copy()
+    gains, s_invs = [], []
+    prior = p
     for step in range(1, max_steps + 1):
+        prior = np.where(converged[:, None, None], prior, _predict_covariance(a_d, p, q_eff))
         try:
-            k, s_inv, p_next = _update_covariance(_predict_covariance(a_d, p, q_eff), r)
+            k, s_inv, p_next = _update_covariance(prior, r)
         except CovarianceError as exc:
-            raise CovarianceError(step, str(exc), index=int(active[exc.index])) from None
-        updates.append((active, k, s_inv))
+            raise CovarianceError(step, str(exc), index=exc.index) from None
+        gains.append(k)
+        s_invs.append(s_inv)
         done = np.abs(p_next - p).max(axis=(1, 2)) <= STEADY_STATE_RTOL * np.maximum(
             1.0, np.abs(p_next).max(axis=(1, 2))
         )
         p = p_next
-        if done.any():
-            finished = active[done]
-            lengths[finished] = step
-            converged[finished] = True
-            final_p[finished] = p[done]
-            keep = ~done
-            active, a_d, q_eff, r, p = (m[keep] for m in (active, a_d, q_eff, r, p))
-            if not active.size:
-                break
-    final_p[active] = p
-    gains = np.empty((n_filters, len(updates), n, n))
-    s_invs = np.empty_like(gains)
-    for row, (filters, k, s_inv) in enumerate(updates):
-        gains[filters, row] = k
-        s_invs[filters, row] = s_inv
-    for m in (gains, s_invs, lengths, final_p, converged):
+        lengths[done & ~converged] = step
+        converged |= done
+        if converged.all():
+            break
+    gains, s_invs = (np.reshape(m, (len(m), n_filters, n, n)) for m in (gains, s_invs))
+    for m in (gains, s_invs, lengths, p, converged):
         m.setflags(write=False)
-    return GainSchedule(gains, s_invs, lengths, final_p, converged)
+    return GainSchedule(gains, s_invs, lengths, p, converged)
 
 
 #: Rows per block of ``_linear_recursion``.
@@ -465,8 +462,8 @@ def filter_record(
     pass then runs in two segments:
 
     * updates 1..M, M the longest schedule, one sample at a time for the
-      whole stack; at update k filter i applies the gain of its update
-      min(k, m_i), m_i its schedule's length;
+      whole stack; update k applies row k - 1 of the schedule, which for
+      filter i past its schedule's length m_i repeats its last gain;
     * once filter i's gain has converged to K, the rest of its record is
       the linear recursion x_k = (I - K) A x_{k-1} + (I - K) B u_{k-1} +
       K z_k.  Every filter with such a tail runs it from its own cut m_i
@@ -504,27 +501,21 @@ def filter_record(
 
 def _schedule_segment(sched, a_d, b_d, z, u, index, x_hat, nis):
     """Updates 1..M of ``filter_record``, M the longest schedule, one
-    sample at a time for the whole stack.  At update k filter i reads its
-    gain and S^-1 at row min(k, m_i) - 1, so a filter past its cut keeps
-    stepping with its last gain; ``_steady_tails`` rewrites those rows.
-    The gathered gains, then S^-1, are each a transient copy the size of
-    the cached schedule they are read from."""
-    steps = sched.gains.shape[1]
-    stack = np.arange(len(index))
-    rows = np.minimum(np.arange(1, steps + 1)[:, None], sched.lengths) - 1
+    sample at a time for the whole stack, update k from the schedule's
+    row k - 1.  A filter past its cut keeps stepping with its last gain,
+    which its rows repeat; ``_steady_tails`` rewrites those estimates."""
+    steps = sched.gains.shape[0]
     zs = z[1 : steps + 1, index]
     # B u as the rows of one matrix product per filter, of at least two rows
     us = u[: max(steps, 2), index].swapaxes(0, 1)
     bu = (np.ascontiguousarray(us) @ _right_factor(b_d)).swapaxes(0, 1)
     innovation = np.empty((steps, len(index), x_hat.shape[2]))
-    gains = sched.gains[stack, rows]
     x = x_hat[:, 0]
     for k in range(1, steps + 1):
         x_prior = _apply(a_d, x) + bu[k - 1]
         d = innovation[k - 1] = zs[k - 1] - x_prior
-        x = x_hat[:, k] = x_prior + _apply(gains[k - 1], d)
-    del gains
-    nis[:, 1 : steps + 1] = _quadratic_form(innovation, sched.s_inv[stack, rows]).T
+        x = x_hat[:, k] = x_prior + _apply(sched.gains[k - 1], d)
+    nis[:, 1 : steps + 1] = _quadratic_form(innovation, sched.s_inv).T
 
 
 def _steady_tails(sched, a_d, b_d, z, u, index, x_hat, nis):
@@ -540,13 +531,13 @@ def _steady_tails(sched, a_d, b_d, z, u, index, x_hat, nis):
     tails = n_rec - 1 - cuts
     longest = int(tails.max())
     a_d = a_d[tailed]
-    k_inf = sched.gains[tailed, cuts - 1]
+    k_inf = sched.gains[-1, tailed]
     i_k = np.eye(n) - k_inf
     f = i_k @ a_d
     f_block = np.linalg.matrix_power(f, _BLOCK)
     # right factors of the row products below
     a_dt, b_dt, k_t, i_kt, s_inv_t = (
-        _right_factor(m) for m in (a_d, b_d[tailed], k_inf, i_k, sched.s_inv[tailed, cuts - 1])
+        _right_factor(m) for m in (a_d, b_d[tailed], k_inf, i_k, sched.s_inv[-1, tailed])
     )
     # at least two blocks, so that no block pass multiplies a single row
     seg_blocks = max(2, _SEGMENT_VALUES // (tailed.size * n * _BLOCK))

@@ -80,6 +80,10 @@ class EventSchedule:
         return self.steps[-1].time_s if self.steps else 0.0
 
 
+#: The regulator's outputs clamp at this multiple of the base reference.
+V_MAX_SCALE = 2.0
+
+
 @dataclass(frozen=True)
 class RegulatorConfig:
     """Gains and references of the per-DGU terminal-voltage regulator."""
@@ -89,7 +93,6 @@ class RegulatorConfig:
     virtual_resistance: float  # ohm; damps the LC resonance
     droop: float  # V per A of bus output d-current
     reference: np.ndarray  # per-bus d-axis voltage amplitude, V
-    v_max_scale: float = 2.0
 
     def __post_init__(self):
         object.__setattr__(self, "reference", np.asarray(self.reference, dtype=float))
@@ -104,8 +107,6 @@ class RegulatorConfig:
                 raise ValueError(
                     f"{name} must be finite and non-negative, got {getattr(self, name)!r}"
                 )
-        if not self.v_max_scale > 1.0:
-            raise ValueError("v_max_scale must exceed 1")
         ref = self.reference
         if ref.ndim != 1 or not (np.isfinite(ref) & (ref > 0.0)).all():
             raise ValueError("reference must be a 1-D array of finite positive voltages")
@@ -393,7 +394,7 @@ def _step_saturated(cfg, loop, k0, xi, exo, x_true, u_true, guard, t) -> None:
     nb = cfg.topology.n_buses
     n = loop.model.n_states
     steps = x_true.shape[0] - 1
-    vmax = np.tile(ctl.v_max_scale * ctl.reference, 2)
+    vmax = np.tile(V_MAX_SCALE * ctl.reference, 2)
     b_vt = loop.disc.b_d[:, np.r_[0 : 2 * nb : 2, 1 : 2 * nb : 2]]
     for k in range(k0, steps + 1):
         raw = _raw_output(loop, ctl, xi, exo[k, :nb])
@@ -461,7 +462,7 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
     u_true = np.empty((n_rec, 4 * nb))
     if ctl is not None:
         nominal = max(1.0, float(ctl.reference.max()))
-        vmax = np.tile(ctl.v_max_scale * ctl.reference, 2)
+        vmax = np.tile(V_MAX_SCALE * ctl.reference, 2)
     else:
         nominal = max(
             1.0,

@@ -74,8 +74,8 @@ def filter_schedule(sched, i=0):
     whether it converged."""
     m = sched.lengths[i]
     return SimpleNamespace(
-        gains=sched.gains[i, :m],
-        s_inv=sched.s_inv[i, :m],
+        gains=sched.gains[:m, i],
+        s_inv=sched.s_inv[:m, i],
         p=sched.p[i],
         converged=bool(sched.converged[i]),
     )

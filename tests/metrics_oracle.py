@@ -25,8 +25,8 @@ def recovery_time(t, errors, pre_mask, event_time, horizon_s, factor=3.0):
     if (sigma <= 0.0).any():
         raise ValueError("pre-event window has zero error variance on some channel")
     post = (t >= event_time) & (t <= event_time + horizon_s)
-    if not post.any():
-        raise ValueError("no samples inside the recovery horizon")
+    if post.sum() < 2:
+        raise ValueError("recovery horizon holds no sample after the event's first")
     norm = np.sqrt(np.square(errors[post] / sigma).mean(axis=1))
     above = norm >= factor
     if not above.any():

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from microdse import sim
 from microdse.discretize import discretize_exact
 from microdse.models import (
     DguParams,
@@ -73,7 +74,7 @@ def regulated_equilibrium(
     i_tq = i_oq + omega * c_t * v_d
     v_td = v_d + r_t * i_td - omega * l_t * i_tq
     v_tq = r_t * i_tq + omega * l_t * i_td
-    vmax = controller.v_max_scale * controller.reference
+    vmax = sim.V_MAX_SCALE * controller.reference
     if (np.abs(v_td) > vmax).any() or (np.abs(v_tq) > vmax).any():
         raise ValueError("equilibrium terminal voltage exceeds the regulator clamp")
     ref_d = controller.reference - kd * i_od
@@ -129,7 +130,7 @@ class VoltageRegulator:
     nearly undamped LC resonance, and an optional droop term lowers the
     d-axis reference in proportion to the bus output current so that load
     changes shift the steady-state line flows.  Outputs clamp at
-    ``v_max_scale`` times the base reference with conditional anti-windup.
+    ``sim.V_MAX_SCALE`` times the base reference with conditional anti-windup.
     """
 
     def __init__(self, config: RegulatorConfig, dt: float, n_units: int):
@@ -155,7 +156,7 @@ class VoltageRegulator:
         e_q = -np.asarray(v_q)
         raw_d = ref + cfg.kp * e_d + cfg.ki * self.integ_d - cfg.virtual_resistance * i_td
         raw_q = cfg.kp * e_q + cfg.ki * self.integ_q - cfg.virtual_resistance * i_tq
-        vmax = cfg.v_max_scale * cfg.reference
+        vmax = sim.V_MAX_SCALE * cfg.reference
         out_d = np.clip(raw_d, -vmax, vmax)
         out_q = np.clip(raw_q, -vmax, vmax)
         hold_d = ((raw_d > vmax) & (e_d > 0)) | ((raw_d < -vmax) & (e_d < 0))

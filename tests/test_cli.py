@@ -871,9 +871,22 @@ def test_grid_without_lines_fails_estimate_with_a_plain_error(tmp_path, capsys):
     assert "global estimator needs at least one line" in err
 
 
-def test_event_at_time_zero_fails_estimate_with_a_plain_error(short_config, tmp_path, capsys):
-    out = tmp_path / "ev0"
-    common = ("--config", short_config, "--out", out, "--duration", 0.3, "--event-time", 0)
+@pytest.mark.parametrize(
+    "event_time, problem",
+    [
+        (0, "event at 0.0 s: pre-event window holds no samples"),
+        # at the last sample, or between the last two: the horizon holds
+        # no sample after the event's first
+        (0.3, "event at 0.3 s: recovery horizon holds no sample after the event's first"),
+        (0.29995, "event at 0.29995 s: recovery horizon holds no sample after the event's first"),
+    ],
+    ids=["zero", "last-sample", "before-last-sample"],
+)
+def test_event_at_time_zero_fails_estimate_with_a_plain_error(
+    short_config, tmp_path, capsys, event_time, problem
+):
+    out = tmp_path / "ev"
+    common = ("--config", short_config, "--out", out, "--duration", 0.3, "--event-time", event_time)
     assert run_cli("simulate", *common) == 0
     capsys.readouterr()
     with warnings.catch_warnings():
@@ -884,7 +897,7 @@ def test_event_at_time_zero_fails_estimate_with_a_plain_error(short_config, tmp_
         ) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
-    assert "event at 0.0 s: pre-event window holds no samples" in err
+    assert problem in err
     # scoring fails before any estimate is written
     assert sorted(p.name for p in out.iterdir()) == ["measurements.csv", "truth.csv"]
 

@@ -354,7 +354,7 @@ def test_local_runs_are_order_independent_on_a_generated_mesh():
     trace = m.simulate_scenario(scn)
     batch = run_locals(build_local_estimators(scn), trace)
     rev = run_locals(build_local_estimators(scn)[::-1], trace)
-    # the buses leave the stack at different updates, all inside the record
+    # the buses converge at different updates, all inside the record
     stack = build_local_estimators(scn)
     lengths = set(schedules_of([est.kf for est in stack], len(trace) - 1).lengths)
     assert len(stack) == 10 and len(lengths) > 1 and max(lengths) < len(trace) - 1

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -547,35 +546,33 @@ def test_stack_cut_inside_some_schedules_equals_each_filter_alone():
             np.testing.assert_array_equal(sched.p, solo.p)
 
 
-@pytest.mark.parametrize("poison", [np.nan, np.inf])
-def test_rows_past_each_schedule_are_never_read(monkeypatch, poison):
-    """Every row of a cached schedule past its filter's length is NaN or
-    inf; the stack, whose cuts differ and whose records go on past every
-    cut, gives the same bits as with the schedule as computed.  A NaN row
-    that is read shows in the bits unless a later row replaces it; an inf
-    row that is read raises a RuntimeWarning either way."""
-    filters = [
-        _random_filter(seed, 4, 2, radius)[:4]
-        for seed, radius in ((6, 0.5), (3, 0.9), (4, 0.9))
-    ]
-    estimators = [KalmanEstimator(model, q_eff=q, r=r, p0=p0) for model, q, r, p0 in filters]
-    rng = np.random.default_rng(12)
-    steps = 130 + 3 * kalman._BLOCK + 5
-    z = rng.standard_normal((steps, len(filters), 4)) * 10.0 + 50.0
-    u = rng.standard_normal((steps, len(filters), 2))
-    expected = filter_record(estimators, z, u)
-    sched = schedules_of(estimators, steps - 1)
-    assert len(set(sched.lengths)) == len(filters) and sched.converged.all()
-    gains, s_inv = sched.gains.copy(), sched.s_inv.copy()
+def _stacks(filters):
+    """The stacks (a_d, q, r, p0) of ``_random_filter`` draws."""
+    models, q, r, p0 = zip(*(f[:4] for f in filters))
+    return [np.array(m) for m in ([model.a_d for model in models], q, r, p0)]
+
+
+def test_rows_past_each_cut_repeat_the_last_update():
+    """In a stack whose cuts differ, every row of the time-major schedule
+    past a filter's cut holds its last gain and S^-1, bit for bit, and the
+    stack stops at the slowest filter's cut."""
+    draws = [_random_filter(seed, 4, 2, radius) for seed, radius in ((6, 0.5), (3, 0.9), (4, 0.9))]
+    sched = gain_schedule(*_stacks(draws), 100_000)
+    assert len(set(sched.lengths)) == 3 and sched.converged.all()
+    assert sched.gains.shape == sched.s_inv.shape == (max(sched.lengths), 3, 4, 4)
     for i, length in enumerate(sched.lengths):
-        gains[i, length:] = s_inv[i, length:] = poison
-    poisoned = dataclasses.replace(sched, gains=gains, s_inv=s_inv)
-    monkeypatch.setattr(kalman, "_schedules", lambda *key: poisoned)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        actual = filter_record(estimators, z, u)
-    for got, want in zip(actual, expected):
-        np.testing.assert_array_equal(got, want)
+        for rows in (sched.gains[:, i], sched.s_inv[:, i]):
+            last = np.broadcast_to(rows[length - 1], rows[length:].shape)
+            np.testing.assert_array_equal(rows[length:], last)
+
+
+def test_schedule_without_updates_leaves_p0_writable():
+    a_d, q, r, p0 = _stacks(_random_filter(seed, 3, 1, 0.5) for seed in (1, 2))
+    sched = gain_schedule(a_d, q, r, p0, 0)
+    assert sched.gains.shape == sched.s_inv.shape == (0, 2, 3, 3)
+    np.testing.assert_array_equal(sched.p, p0)
+    assert not sched.converged.any() and (sched.lengths == 0).all()
+    assert p0.flags.writeable and not sched.p.flags.writeable
 
 
 def test_stacked_schedule_reports_the_earliest_failure_then_the_first_in_stack():
@@ -585,7 +582,8 @@ def test_stacked_schedule_reports_the_earliest_failure_then_the_first_in_stack()
     # with R near singular, S becomes numerically singular at update 5
     late = (a_d, zero, np.diag([1.0, 1.0, 1.0, 1e-13]), np.eye(4))
     early = (a_d, zero, zero, zero)  # S = 0 at the first update
-    # starts at its steady state, so it leaves the stack before ``late`` fails
+    # starts at its steady state, so it converges, and repeats its last
+    # update, before ``late`` fails
     settled = (a_d, *healthy[1:3], steady_state_covariance(*healthy[:3]))
 
     def failure(*filters):

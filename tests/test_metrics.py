@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from metrics_oracle import oracle_metrics
+from metrics_oracle import oracle_metrics, recovery_time
 from test_estimation import generated_mesh
 
 import microdse as m
@@ -144,6 +144,16 @@ def test_recovery_time_rejects_an_empty_pre_event_window():
     errors = np.ones((t.size, 4))
     with pytest.raises(ValueError, match="pre-event window holds no samples"):
         tracking_recovery_time(t, errors, np.zeros(t.size, dtype=bool), 0.0, 0.1)
+
+
+@pytest.mark.parametrize("event_time", [0.299, 0.2995])
+def test_recovery_time_rejects_a_horizon_without_a_sample_after_the_event(event_time):
+    t = np.arange(300) * 1e-3
+    errors = np.ones((t.size, 4))
+    pre = t < 0.2
+    for recovery in (tracking_recovery_time, recovery_time):
+        with pytest.raises(ValueError, match="no sample after the event's first"):
+            recovery(t, errors, pre, event_time, 0.1)
 
 
 def test_event_at_time_zero_fails_the_metrics(reference_scenario):

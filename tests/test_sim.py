@@ -167,7 +167,7 @@ def test_regulator_settles_after_reference_step(reference_topology):
     for k in range(steps):
         xi[k + 1] = loop.a @ xi[k] + loop.g @ e
     # the clamp stays out of play, so the linear loop is the whole law
-    vmax = np.tile(gains1.v_max_scale * gains1.reference, 2)
+    vmax = np.tile(m.sim.V_MAX_SCALE * gains1.reference, 2)
     assert (np.abs(_raw_output(loop, gains1, xi, gains1.reference)) < vmax).all()
     vd1 = xi[:, 0]
     target = gains1.reference[0]
@@ -347,7 +347,7 @@ def assert_matches_loop_oracle(cfg, rtol=1e-9):
 
 
 def clamped_samples(cfg, trace):
-    vmax = cfg.controller.v_max_scale * cfg.controller.reference
+    vmax = m.sim.V_MAX_SCALE * cfg.controller.reference
     vt = np.column_stack([trace.u_true[:, 0::4], trace.u_true[:, 1::4]])
     return np.flatnonzero((np.abs(vt) >= np.tile(vmax, 2) * (1.0 - 1e-12)).any(axis=1))
 
@@ -371,14 +371,10 @@ def test_linear_pass_matches_loop_open_loop(reference_topology, monkeypatch, seg
     assert_matches_loop_oracle(cfg)
 
 
-def test_linear_pass_matches_loop_when_clamp_engages_at_start(reference_scenario):
-    sim = reference_scenario.sim
+def test_linear_pass_matches_loop_when_clamp_engages_at_start(reference_scenario, monkeypatch):
+    monkeypatch.setattr(m.sim, "V_MAX_SCALE", 1.02)
     cfg = dataclasses.replace(
-        sim,
-        duration_s=0.2,
-        start="zero",
-        events=EventSchedule(),
-        controller=dataclasses.replace(sim.controller, v_max_scale=1.02),
+        reference_scenario.sim, duration_s=0.2, start="zero", events=EventSchedule()
     )
     trace = assert_matches_loop_oracle(cfg)
     assert clamped_samples(cfg, trace).size == 7
@@ -393,27 +389,25 @@ def test_linear_pass_matches_loop_when_clamp_engages_mid_record(
     # that sample inside the eighth segment
     if segment_values is not None:
         monkeypatch.setattr(m.sim, "_SEGMENT_VALUES", segment_values)
-    sim = reference_scenario.sim
+    monkeypatch.setattr(m.sim, "V_MAX_SCALE", 1.02)
     cfg = dataclasses.replace(
-        sim,
+        reference_scenario.sim,
         duration_s=0.1,
         noise=PROCESS_NOISE,
         events=EventSchedule((LoadStep(0.05, 1, -1000.0, 0.0),)),
-        controller=dataclasses.replace(sim.controller, v_max_scale=1.02),
     )
     trace = assert_matches_loop_oracle(cfg)
     assert clamped_samples(cfg, trace)[0] == 500
 
 
-def test_equilibrium_outside_the_clamp_is_rejected(reference_scenario):
+def test_equilibrium_outside_the_clamp_is_rejected(reference_scenario, monkeypatch):
     # 2000 A of capacitive load per bus needs a terminal voltage above
     # 1.0001 x reference: the linear loop's fixed point is no operating
     # point of the clamped regulator
+    monkeypatch.setattr(m.sim, "V_MAX_SCALE", 1.0001)
     sim = reference_scenario.sim
     cfg = dataclasses.replace(
-        sim,
-        initial_loads=np.column_stack([sim.initial_loads[:, 0], np.full(3, -2000.0)]),
-        controller=dataclasses.replace(sim.controller, v_max_scale=1.0001),
+        sim, initial_loads=np.column_stack([sim.initial_loads[:, 0], np.full(3, -2000.0)])
     )
     for simulate in (run_plant, run_plant_loop):
         with pytest.raises(ValueError, match="equilibrium terminal voltage exceeds the regulator clamp"):
@@ -459,8 +453,7 @@ def test_linear_pass_matches_loop_on_random_grids(reference_scenario, grid, seed
     nb = topology.n_buses
     start, clamp = regime
     controller = dataclasses.replace(
-        reference_scenario.sim.controller, droop=0.1, reference=np.full(nb, 11267.652),
-        v_max_scale=clamp,
+        reference_scenario.sim.controller, droop=0.1, reference=np.full(nb, 11267.652)
     )
     cfg = SimConfig(
         topology=topology,
@@ -474,9 +467,11 @@ def test_linear_pass_matches_loop_on_random_grids(reference_scenario, grid, seed
         start=start,
     )
     assume(np.abs(np.linalg.eigvals(closed_loop_matrix(cfg))).max() < 1.0)
-    trace = assert_matches_loop_oracle(cfg)
-    if clamp < 2.0:
-        assert clamped_samples(cfg, trace).size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(m.sim, "V_MAX_SCALE", clamp)
+        trace = assert_matches_loop_oracle(cfg)
+        if clamp < 2.0:
+            assert clamped_samples(cfg, trace).size
 
 
 @settings(max_examples=30, deadline=None)
@@ -504,7 +499,7 @@ def test_closed_loop_builder_is_the_regulator_law(reference_scenario, seed):
     ivd, ivq, iitd, iitq = _bus_index_arrays(nb)
     io = _output_current_map(sim.topology) @ x + loads
     v_td, v_tq = reg.step(x[ivd], x[ivq], x[iitd], x[iitq], io[0::2])
-    assert (np.abs(raw) < np.tile(ctl.v_max_scale * ctl.reference, 2)).all()
+    assert (np.abs(raw) < np.tile(m.sim.V_MAX_SCALE * ctl.reference, 2)).all()
     # the two evaluation orders agree to rounding of the law's largest
     # terms, which can dwarf the channel itself (v_tq is millivolts from
     # tens of volts): bound each channel by the magnitudes of its terms
