@@ -216,9 +216,9 @@ class KalmanEstimator:
     """Stateful predict/update recursion over a discrete LTI model with
     process covariance ``q_eff`` and measurement covariance ``r``; the
     initial estimate ``x0`` defaults to zero and its covariance ``p0`` to r.
-    ``x0`` (and so ``x_hat``) serves only the per-step ``predict``/
-    ``update``/``step`` path: ``filter_record`` starts every estimate from
-    the record's first measurement and never reads it.
+    ``x0`` (``x_hat``) and ``p``, a copy of the read-only ``p0``, serve
+    only the per-step ``predict``/``update``/``step`` path:
+    ``filter_record`` reads neither, only the model, noise and ``p0``.
 
     One instance is owned by exactly one caller at a time; distinct
     instances are fully independent.
@@ -240,8 +240,9 @@ class KalmanEstimator:
         self.x_hat = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
         if self.x_hat.shape != (n,):
             raise ValueError(f"x0 must have shape ({n},)")
-        p0 = self.r.copy() if p0 is None else p0
-        self.p = _check_covariance("p0", p0, dim=n)
+        self.p0 = _check_covariance("p0", self.r if p0 is None else p0, dim=n)
+        self.p0.setflags(write=False)
+        self.p = self.p0.copy()
         self._a_d = model.a_d
         self._b_d = model.b_d
 
@@ -407,15 +408,15 @@ def _linear_recursion(
 
 
 def schedules_of(estimators: list[KalmanEstimator], max_steps: int) -> GainSchedule:
-    """``gain_schedule`` of the estimators, stacked, from their covariances
-    ``p``; computed once per content."""
+    """``gain_schedule`` of the estimators, stacked, from their initial
+    covariances ``p0``; computed once per content."""
     return _schedules(
         max_steps,
         *_content_key(
             [kf.model.a_d for kf in estimators],
             [kf.q_eff for kf in estimators],
             [kf.r for kf in estimators],
-            [kf.p for kf in estimators],
+            [kf.p0 for kf in estimators],
         ),
     )
 
@@ -474,14 +475,14 @@ def filter_record(
       segment ends.  A filter whose tail has ended runs on zero input, and
       those rows are discarded.
 
-    The filters are read, not changed, so a second run on the same
-    filters gives the same results.  A filter's results are the same, bit
-    for bit, alone as in any stack and order, provided BLAS rounds each row
-    of a matrix product the same for every row count of at least two.
-    OpenBLAS does for small models such as the 4-state local filters; for
-    products of wide matrices with few rows it may not.  The stack never
-    decides whether a product is a matrix-vector one, which BLAS rounds
-    differently.
+    Only the filters' models, noise and ``p0`` are read, so a second run
+    on the same filters gives the same results, even after per-step calls.
+    A filter's results are the same, bit for bit, alone as in any stack
+    and order, provided BLAS rounds each row of a matrix product the same
+    for every row count of at least two.  OpenBLAS does for small models
+    such as the 4-state local filters; for products of wide matrices with
+    few rows it may not.  The stack never decides whether a product is a
+    matrix-vector one, which BLAS rounds differently.
     """
     z = np.asarray(z, dtype=float)
     u = np.asarray(u, dtype=float)

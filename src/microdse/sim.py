@@ -37,7 +37,7 @@ from .models import (
     ContinuousLtiModel,
     MicrogridTopology,
     build_coupled_plant,
-    bus_columns,
+    bus_records,
     input_record_labels,
 )
 
@@ -163,6 +163,12 @@ class SimConfig:
                 raise ValueError(
                     f"{name} must be finite and positive, got {getattr(self, name)!r}"
                 )
+        steps = self.duration_s / self.plant_step_s
+        if steps < 1 - 1e-9 or abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                f"duration_s {self.duration_s!r} is not a whole number "
+                f"of plant_step_s {self.plant_step_s!r}"
+            )
         if self.duration_s < self.events.last_time:
             raise ValueError("duration must cover the latest scheduled event")
         if self.initial_loads.shape != (nb, 2):
@@ -240,16 +246,9 @@ def downsample(trace, target_rate_hz: float):
 
 def _covariance_factor(cov: np.ndarray) -> np.ndarray:
     """Factor F with F F^T = cov, valid for singular PSD matrices."""
-    if not cov.any():
-        return np.zeros_like(cov)
     w, v = np.linalg.eigh(cov)
     w = np.clip(w, 0.0, None)
     return v * np.sqrt(w)
-
-
-def _bus_index_arrays(nb: int) -> np.ndarray:
-    """Plant columns of v_d, v_q, i_td and i_tq, one row each over all buses."""
-    return bus_columns(np.arange(1, nb + 1)[:, None]).T
 
 
 def _output_current_map(topology: MicrogridTopology) -> np.ndarray:
@@ -292,7 +291,8 @@ def _closed_loop(cfg: SimConfig) -> _Loop:
     if ctl is None:
         return _Loop(model, disc, disc.a_d, np.hstack([b_vtd, b_vtq, b_load]), None)
     n = model.n_states
-    sel_vd, sel_vq, sel_itd, sel_itq = (np.eye(n)[idx] for idx in _bus_index_arrays(nb))
+    # rows of the identity that select v_d, v_q, i_td and i_tq, (nb, n) each
+    sel_vd, sel_vq, sel_itd, sel_itq = bus_records(np.eye(n), nb).T
     # the bus output d-current lowers the reference through the droop
     e_xd = -ctl.droop * _output_current_map(topo)[0::2] - sel_vd
     e_xq = -sel_vq
@@ -352,17 +352,17 @@ def regulated_equilibrium(loop: _Loop, e0: np.ndarray) -> np.ndarray:
 def _add_noise(rng, out: np.ndarray, topology, dgu_cov, line_cov=None) -> None:
     """Add one draw per row of ``out`` to each block of its columns, in the
     fixed order: DGU blocks bus by bus, then (given ``line_cov``) line
-    blocks.  This order is the draw order of every noise stream."""
-    f_dgu = _covariance_factor(dgu_cov)
-    blocks = [(bus_columns(b), f_dgu) for b in range(1, topology.n_buses + 1)]
-    if line_cov is not None:
-        f_line = _covariance_factor(line_cov)
-        blocks += [(cols, f_line) for cols in topology.line_columns.reshape(-1, 2)]
-    for cols, factor in blocks:
-        draw = rng.standard_normal((out.shape[0], cols.size))
-        if factor.any():
-            # a block's columns are contiguous: add through a view, not a copy
-            out[:, cols[0] : cols[-1] + 1] += draw @ factor.T
+    blocks, as one block-major draw per kind of block.  This order is the
+    draw order of every noise stream."""
+    rows, nl = out.shape[0], topology.n_lines
+    kinds = [(bus_records(out, topology.n_buses), dgu_cov)]
+    if line_cov is not None and nl:
+        lc = topology.line_columns
+        kinds.append((out[:, lc[0] : lc[-1] + 1].reshape(rows, nl, 2), line_cov))
+    for blocks, cov in kinds:
+        draw = rng.standard_normal((blocks.shape[1], rows, blocks.shape[2]))
+        if cov.any():
+            blocks += (draw @ _covariance_factor(cov).T).transpose(1, 0, 2)
 
 
 def _diverged(t_k: float, guard: float) -> SimulationDivergedError:
@@ -396,11 +396,11 @@ def _step_saturated(cfg, loop, k0, xi, exo, x_true, u_true, guard, t) -> None:
     steps = x_true.shape[0] - 1
     vmax = np.tile(V_MAX_SCALE * ctl.reference, 2)
     b_vt = loop.disc.b_d[:, np.r_[0 : 2 * nb : 2, 1 : 2 * nb : 2]]
+    v_t = bus_records(u_true, nb)[:, :, :2]
     for k in range(k0, steps + 1):
         raw = _raw_output(loop, ctl, xi, exo[k, :nb])
         out = np.clip(raw, -vmax, vmax)
-        u_true[k, 0::4] = out[:nb]
-        u_true[k, 1::4] = out[nb:]
+        v_t[k] = out.reshape(2, nb).T
         if k == steps:
             break
         nxt = loop.a @ xi + loop.g @ exo[k]
@@ -437,8 +437,7 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
     loads[:] = cfg.initial_loads.reshape(-1)
     for ev in cfg.events.steps:
         ke = int(np.searchsorted(t, ev.time_s - 1e-12))
-        loads[ke:, 2 * (ev.bus - 1)] += ev.delta_d
-        loads[ke:, 2 * (ev.bus - 1) + 1] += ev.delta_q
+        loads.reshape(n_rec, nb, 2)[ke:, ev.bus - 1] += (ev.delta_d, ev.delta_q)
     if ctl is not None:
         rho = float(np.abs(np.linalg.eigvals(loop.a)).max())
         if rho >= 1.0:
@@ -448,8 +447,7 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
             )
         exo[:, :nb] = ctl.reference - ctl.droop * loads[:, 0::2]
     else:
-        exo[:, :nb] = cfg.fixed_terminal_voltage[:, 0]
-        exo[:, nb : 2 * nb] = cfg.fixed_terminal_voltage[:, 1]
+        exo[:, : 2 * nb] = cfg.fixed_terminal_voltage.T.ravel()
 
     xi0 = np.zeros(loop.a.shape[0])
     if cfg.start == "equilibrium":
@@ -460,6 +458,7 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
     x_true[0] = xi0[:n]
     _add_noise(rng, x_true[1:], topo, cfg.noise.dgu.q, cfg.noise.line.q)
     u_true = np.empty((n_rec, 4 * nb))
+    dgu_inputs = bus_records(u_true, nb)
     if ctl is not None:
         nominal = max(1.0, float(ctl.reference.max()))
         vmax = np.tile(V_MAX_SCALE * ctl.reference, 2)
@@ -470,8 +469,7 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
             float(np.abs(cfg.fixed_terminal_voltage).max()),
             float(np.abs(loads).max()),
         )
-        u_true[:, 0::4] = cfg.fixed_terminal_voltage[:, 0]
-        u_true[:, 1::4] = cfg.fixed_terminal_voltage[:, 1]
+        dgu_inputs[:, :, :2] = cfg.fixed_terminal_voltage
     guard = 1e6 * nominal
 
     def clamp_free(xi: np.ndarray, k: int) -> int:
@@ -480,8 +478,7 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
         if ctl is None:
             return xi.shape[0]
         v_t = _raw_output(loop, ctl, xi, exo[k : k + xi.shape[0], :nb])
-        u_true[k : k + xi.shape[0], 0::4] = v_t[:, :nb]
-        u_true[k : k + xi.shape[0], 1::4] = v_t[:, nb:]
+        dgu_inputs[k : k + xi.shape[0], :, :2] = v_t.reshape(-1, 2, nb).swapaxes(1, 2)
         return _first((np.abs(v_t) > vmax).any(axis=1))
 
     m = xi0.shape[0]
@@ -520,8 +517,7 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
         _step_saturated(cfg, loop, saturated, buf[0], exo, x_true, u_true, guard, t)
 
     io = x_true @ _output_current_map(topo).T + loads
-    u_true[:, 2::4] = io[:, 0::2]
-    u_true[:, 3::4] = io[:, 1::2]
+    dgu_inputs[:, :, 2:] = io.reshape(n_rec, nb, 2)
     return x_true, u_true
 
 

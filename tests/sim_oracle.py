@@ -33,11 +33,16 @@ from microdse.sim import (
     SimConfig,
     SimulationDivergedError,
     Trace,
-    _bus_index_arrays,
     _covariance_factor,
     _output_current_map,
     closed_loop_matrix,
 )
+
+
+def bus_channel_columns(nb: int) -> np.ndarray:
+    """Plant-state columns of v_d, v_q, i_td and i_tq (rows) of buses
+    1..``nb`` (columns): four columns per bus, bus by bus."""
+    return 4 * np.arange(nb) + np.arange(4)[:, None]
 
 
 def regulated_equilibrium(
@@ -80,7 +85,7 @@ def regulated_equilibrium(
     ref_d = controller.reference - kd * i_od
     integ_d = (v_td - ref_d + controller.virtual_resistance * i_td) / controller.ki
     integ_q = (v_tq + controller.virtual_resistance * i_tq) / controller.ki
-    idx_vd, _, idx_itd, idx_itq = _bus_index_arrays(nb)
+    idx_vd, _, idx_itd, idx_itq = bus_channel_columns(nb)
     lines = topology.line_columns
     x = np.zeros(4 * nb + lines.size)
     x[idx_vd] = v_d
@@ -237,7 +242,7 @@ def run_plant_loop(cfg: SimConfig) -> Trace:
     guard = 1e6 * nominal
 
     io_map = _output_current_map(topo)
-    idx_vd, idx_vq, idx_itd, idx_itq = _bus_index_arrays(nb)
+    idx_vd, idx_vq, idx_itd, idx_itq = bus_channel_columns(nb)
     a_d = disc.a_d
     b_d = disc.b_d
     x_true = np.empty((n_rec, n))

@@ -180,6 +180,34 @@ def test_malformed_json_reports_line(tmp_path, capsys):
     assert ":1:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, what",
+    [("simulate", "--config", "configuration"), ("report", "--metrics", "metrics")],
+)
+def test_a_json_file_that_is_not_utf8_names_itself(tmp_path, capsys, command, flag, what):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    args = ("--out", tmp_path / "o") if command == "simulate" else ()
+    assert run_cli(command, flag, path, *args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: cannot read {what} {path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 10: invalid start byte\n"
+    )
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("duration", [0.30006, 0.30004])
+def test_a_duration_off_the_plant_step_grid_is_refused(tmp_path, capsys, duration):
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--duration", duration, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid simulation: duration_s {duration!r} is not a whole number "
+        "of plant_step_s 0.0001\n"
+    )
+    assert not out.exists()
+
+
 def test_csv_round_trip_is_value_identical(tmp_path):
     rng = np.random.default_rng(12)
     t = np.round(np.arange(50) * 1e-4, 9)

@@ -277,6 +277,13 @@ def test_a_second_run_on_the_same_estimators_gives_the_same_bits(reference_scena
     sim = dataclasses.replace(reference_scenario.sim, duration_s=0.2, events=EventSchedule())
     scn = dataclasses.replace(reference_scenario, sim=sim)
     result = m.estimate_scenario(scn, m.simulate_scenario(scn))
+    # a record run reads each filter's model, noise and read-only p0, so
+    # per-step calls in between, which move p, change none of its bits
+    for kf in (result.local_estimators[0].kf, result.global_estimator.kf):
+        p0 = kf.p0.copy()
+        kf.step(np.zeros(kf.model.n_inputs), np.zeros(kf.n_states))
+        assert not np.array_equal(kf.p, p0) and not kf.p0.flags.writeable
+        np.testing.assert_array_equal(kf.p0, p0)
     again = run_locals(result.local_estimators, result.local_trace)
     for bus, first in result.local_estimates.items():
         np.testing.assert_array_equal(again[bus].x_hat, first.x_hat)

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sim_oracle import VoltageRegulator, regulated_equilibrium, run_plant_loop
+from sim_oracle import (
+    VoltageRegulator,
+    bus_channel_columns,
+    regulated_equilibrium,
+    run_plant_loop,
+)
 from structure_oracle import (
     coupled_plant_loop,
     global_input_covariance_loop,
@@ -29,7 +34,7 @@ from microdse import (
 )
 from microdse.estimation import global_input_covariance
 from microdse.models import DguParams, LineParams, MicrogridTopology, build_dgu_model
-from microdse.sim import _bus_index_arrays, _closed_loop, _output_current_map, _raw_output
+from microdse.sim import _closed_loop, _output_current_map, _raw_output
 
 LOADS = np.array([[150.0, 30.0], [220.0, 40.0], [180.0, 35.0]])
 
@@ -303,6 +308,22 @@ def test_config_validation():
         EventSchedule((LoadStep(1.0, 1, 1.0, 0.0), LoadStep(1.0, 1, 1.0, 0.0)))
 
 
+@pytest.mark.parametrize("duration", [0.30006, 0.30004, 0.00005, 1.5e-4])
+def test_a_duration_off_the_plant_step_grid_is_refused(reference_topology, duration):
+    with pytest.raises(
+        ValueError,
+        match=rf"^duration_s {duration!r} is not a whole number of plant_step_s 0\.0001$",
+    ):
+        open_loop_config(reference_topology, duration=duration)
+
+
+@pytest.mark.parametrize("duration", [1e-4, 0.3, 0.29999999999])
+def test_a_duration_on_the_plant_step_grid_runs_its_samples(reference_topology, duration):
+    # within the 1e-9 relative rule a duration is a whole number of steps
+    cfg = open_loop_config(reference_topology, duration=duration)
+    assert len(run_plant(cfg)) == round(duration / 1e-4) + 1
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("field", ["kp", "ki", "virtual_resistance", "droop", "reference"])
 def test_non_finite_regulator_setting_is_rejected_naming_it(reference_scenario, field, bad):
@@ -496,7 +517,7 @@ def test_closed_loop_builder_is_the_regulator_law(reference_scenario, seed):
 
     reg = VoltageRegulator(ctl, sim.plant_step_s, nb)
     reg.integ_d, reg.integ_q = integ[:nb].copy(), integ[nb:].copy()
-    ivd, ivq, iitd, iitq = _bus_index_arrays(nb)
+    ivd, ivq, iitd, iitq = bus_channel_columns(nb)
     io = _output_current_map(sim.topology) @ x + loads
     v_td, v_tq = reg.step(x[ivd], x[ivq], x[iitd], x[iitq], io[0::2])
     assert (np.abs(raw) < np.tile(m.sim.V_MAX_SCALE * ctl.reference, 2)).all()
