@@ -43,14 +43,13 @@ share them.  An estimation run of N buses looks up two schedules (local
 and global) and N steady posteriors, so on the 30-bus benchmark mesh
 every run after the first hits all 32 lookups.
 ``KalmanEstimator`` holds one filter's validated model, noise and
-initial estimate, which ``filter_record`` reads and never changes.  Its
-per-step ``predict``/``update``/``step`` are the same recursion one
-sample at a time: the tests' reference for ``filter_record`` and the
-benchmark's count of steps to convergence; the estimators run whole
-records through ``filter_record`` only.  All three paths, the schedule,
-the per-step update and the DARE's posterior, run one stacked covariance
-update, ``_update_covariance``, so they accept the same innovation
-covariances.
+initial covariance, which ``filter_record`` reads and never changes.  Its
+one per-step method, ``step``, is the same recursion one sample at a
+time; it serves the benchmark's count of steps to convergence and
+acceptance criterion 5, and the estimators run whole records through
+``filter_record`` only.  All three paths, the schedule, ``step`` and the
+DARE's posterior, run one stacked covariance update,
+``_update_covariance``, so they accept the same innovation covariances.
 """
 
 from __future__ import annotations
@@ -73,8 +72,9 @@ STEADY_STATE_RTOL = 1e-13
 class CovarianceError(np.linalg.LinAlgError):
     """A covariance update failed; ``step`` counts the updates of
     ``gain_schedule`` from 1 (None for a single update outside it, as in
-    ``KalmanEstimator.update``) and ``index`` is the failed filter's
-    position in the stack."""
+    ``KalmanEstimator.step``, which serves the benchmark's convergence
+    count and acceptance criterion 5) and ``index`` is the failed
+    filter's position in the stack."""
 
     def __init__(self, step: int | None, message: str, index: int = 0):
         super().__init__(message)
@@ -213,15 +213,15 @@ def _update_covariance(
 
 
 class KalmanEstimator:
-    """Stateful predict/update recursion over a discrete LTI model with
-    process covariance ``q_eff`` and measurement covariance ``r``; the
-    initial estimate ``x0`` defaults to zero and its covariance ``p0`` to r.
-    ``x0`` (``x_hat``) and ``p``, a copy of the read-only ``p0``, serve
-    only the per-step ``predict``/``update``/``step`` path:
-    ``filter_record`` reads neither, only the model, noise and ``p0``.
+    """One filter's validated discrete LTI model, process covariance
+    ``q_eff``, measurement covariance ``r`` and read-only initial
+    covariance ``p0`` (default r): the spec that ``filter_record`` reads
+    and never changes.
 
-    One instance is owned by exactly one caller at a time; distinct
-    instances are fully independent.
+    ``step`` runs the same recursion one sample at a time on ``x_hat``,
+    from zero, and ``p``, from a copy of ``p0``.  It serves the
+    benchmark's count of steps to convergence and acceptance criterion 5;
+    the estimators run whole records through ``filter_record`` only.
     """
 
     def __init__(
@@ -230,57 +230,38 @@ class KalmanEstimator:
         *,
         q_eff: np.ndarray,
         r: np.ndarray,
-        x0: np.ndarray | None = None,
         p0: np.ndarray | None = None,
     ):
         self.model = model
         n = model.n_states
         self.q_eff = _check_covariance("q_eff", q_eff, dim=n)
         self.r = _check_covariance("r", r, dim=n)
-        self.x_hat = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-        if self.x_hat.shape != (n,):
-            raise ValueError(f"x0 must have shape ({n},)")
         self.p0 = _check_covariance("p0", self.r if p0 is None else p0, dim=n)
         self.p0.setflags(write=False)
+        self.x_hat = np.zeros(n)
         self.p = self.p0.copy()
-        self._a_d = model.a_d
-        self._b_d = model.b_d
 
     @property
     def n_states(self) -> int:
         return self.model.n_states
 
-    def predict(self, u: np.ndarray) -> None:
-        """Propagate estimate and covariance one step using input sample ``u``."""
+    def step(self, u: np.ndarray, z: np.ndarray) -> None:
+        """Predict with input sample ``u``, then update with the full-state
+        measurement ``z``.  The covariance update is ``gain_schedule``'s
+        on a stack of one: Joseph form, and ``CovarianceError`` (no step)
+        for an innovation covariance R + P that is not positive definite
+        or is numerically singular."""
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.model.n_inputs,):
-            raise ValueError(
-                f"input must have shape ({self.model.n_inputs},), got {u.shape}"
-            )
-        self.x_hat = self._a_d @ self.x_hat + self._b_d @ u
-        self.p = _predict_covariance(self._a_d, self.p, self.q_eff)
-
-    def update(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fold in a full-state measurement; returns (innovation, post-fit residual).
-
-        The covariance update is ``gain_schedule``'s on a stack of one:
-        Joseph form, and ``CovarianceError`` (no step) for an innovation
-        covariance R + P that is not positive definite or is numerically
-        singular.
-        """
         z = np.asarray(z, dtype=float)
-        n = self.model.n_states
-        if z.shape != (n,):
-            raise ValueError(f"measurement must have shape ({n},), got {z.shape}")
-        k, _, self.p = (m[0] for m in _update_covariance(self.p[None], self.r[None]))
-        innovation = z - self.x_hat
-        self.x_hat = self.x_hat + k @ innovation
-        return innovation, z - self.x_hat
-
-    def step(self, u: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Predict with ``u`` then update with ``z``."""
-        self.predict(u)
-        return self.update(z)
+        model = self.model
+        if u.shape != (model.n_inputs,):
+            raise ValueError(f"input must have shape ({model.n_inputs},), got {u.shape}")
+        if z.shape != (model.n_states,):
+            raise ValueError(f"measurement must have shape ({model.n_states},), got {z.shape}")
+        x_prior = model.a_d @ self.x_hat + model.b_d @ u
+        p_prior = _predict_covariance(model.a_d, self.p, self.q_eff)
+        k, _, self.p = (m[0] for m in _update_covariance(p_prior[None], self.r[None]))
+        self.x_hat = x_prior + k @ (z - x_prior)
 
 
 @dataclass(frozen=True)
@@ -310,9 +291,9 @@ def gain_schedule(
     """Covariance layer of B independent filters at once.
 
     ``a_d``, ``q_eff``, ``r`` and ``p0`` are stacks (B, n, n): filter i
-    runs the predict/update recursion of ``KalmanEstimator`` without the
-    state, from the covariance ``p0[i]`` of its initial estimate, for at
-    most ``max_steps`` updates.  Filter i's schedule ends once its
+    runs the recursion of ``KalmanEstimator.step`` without the state,
+    from the covariance ``p0[i]`` of its initial estimate, for at most
+    ``max_steps`` updates.  Filter i's schedule ends once its
     consecutive posteriors agree to ``STEADY_STATE_RTOL``; from then on it
     is fed the prior of its last update again, so its gain, S^-1 and
     posterior repeat bit for bit and it cannot fail.  The stack runs until
@@ -476,7 +457,7 @@ def filter_record(
       those rows are discarded.
 
     Only the filters' models, noise and ``p0`` are read, so a second run
-    on the same filters gives the same results, even after per-step calls.
+    on the same filters gives the same results, even after ``step`` calls.
     A filter's results are the same, bit for bit, alone as in any stack
     and order, provided BLAS rounds each row of a matrix product the same
     for every row count of at least two.  OpenBLAS does for small models

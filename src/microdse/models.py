@@ -94,14 +94,21 @@ class MicrogridTopology:
             )
         if not np.isfinite(self.omega) or self.omega < 0.0:
             raise ValueError("omega must be finite and non-negative")
-        seen: set[tuple[int, int]] = set()
+        # the state and trace labels name a line by its label, so no two
+        # lines may share one
+        labels: dict[str, tuple[int, int]] = {}
         for line in self.lines:
             if line.to_bus > self.n_buses:
                 raise ValueError(f"line endpoint {line.to_bus} outside 1..{self.n_buses}")
             key = (line.from_bus, line.to_bus)
-            if key in seen:
+            other = labels.get(line.label)
+            if other == key:
                 raise ValueError(f"duplicate line between buses {key}")
-            seen.add(key)
+            if other is not None:
+                raise ValueError(
+                    f"lines between buses {other} and {key} share the label {line.label!r}"
+                )
+            labels[line.label] = key
         # every bus must be reachable through the line graph
         reached = {1}
         frontier = [1]

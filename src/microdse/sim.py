@@ -163,12 +163,17 @@ class SimConfig:
                 raise ValueError(
                     f"{name} must be finite and positive, got {getattr(self, name)!r}"
                 )
-        steps = self.duration_s / self.plant_step_s
-        if steps < 1 - 1e-9 or abs(steps - round(steps)) > 1e-9 * steps:
-            raise ValueError(
-                f"duration_s {self.duration_s!r} is not a whole number "
-                f"of plant_step_s {self.plant_step_s!r}"
-            )
+        # the run and its events end and start on the plant-step grid,
+        # under a 1e-9 relative rule; a run lasts at least one step
+        times = [("duration_s", self.duration_s, 1)]
+        times += [("event time_s", ev.time_s, 0) for ev in self.events.steps]
+        for name, time_s, least in times:
+            steps = time_s / self.plant_step_s
+            if steps < least - 1e-9 or abs(steps - round(steps)) > 1e-9 * steps:
+                raise ValueError(
+                    f"{name} {time_s!r} is not a whole number "
+                    f"of plant_step_s {self.plant_step_s!r}"
+                )
         if self.duration_s < self.events.last_time:
             raise ValueError("duration must cover the latest scheduled event")
         if self.initial_loads.shape != (nb, 2):
@@ -436,7 +441,7 @@ def _truth(cfg: SimConfig, loop: _Loop, t: np.ndarray, rng) -> tuple[np.ndarray,
     loads = exo[:, head:]
     loads[:] = cfg.initial_loads.reshape(-1)
     for ev in cfg.events.steps:
-        ke = int(np.searchsorted(t, ev.time_s - 1e-12))
+        ke = round(ev.time_s / cfg.plant_step_s)
         loads.reshape(n_rec, nb, 2)[ke:, ev.bus - 1] += (ev.delta_d, ev.delta_q)
     if ctl is not None:
         rho = float(np.abs(np.linalg.eigvals(loop.a)).max())

@@ -1,15 +1,15 @@
 """Reference filters for ``microdse.kalman``.
 
-``step_oracle`` runs a whole record one ``KalmanEstimator`` predict and
-update at a time: the oracle for the state pass of ``filter_record``,
-which the local and global estimators run; the two must agree to
-rounding.  It computes each NIS itself, by a plain solve with the
-innovation covariance R + P_prior.  Since
-``KalmanEstimator`` shares its covariance update with ``gain_schedule``,
-the covariance recursion is checked on its own against
-``covariance_oracle`` and ``riccati_oracle``, written here with plain
-numpy solves.  ``dare_oracle`` is scipy's DARE solver, the independent
-reference for the doubling of ``steady_state_covariance``.
+``step_oracle`` runs a filter over a whole record one sample at a time,
+with its own plain-numpy law: the gain by ``np.linalg.solve``, the Joseph
+posterior, and each NIS by its own solve with the innovation covariance
+R + P_prior.  It reads only a filter's model, noise and ``p0``, and calls
+nothing of ``microdse.kalman``, so it checks both layers of
+``filter_record``, the gain schedule and the state pass, which the local
+and global estimators run; the two must agree to rounding.
+``riccati_oracle`` iterates the same equations to their fixed point, and
+``dare_oracle`` is scipy's DARE solver, the independent reference for the
+doubling of ``steady_state_covariance``.
 """
 
 from __future__ import annotations
@@ -21,22 +21,38 @@ from scipy.linalg import solve_discrete_are
 
 
 def step_oracle(kf, z, u):
-    """Estimates and NIS of ``kf`` over a record: sample 0 initializes from
-    ``z[0]``, then each sample k predicts with ``u[k-1]`` and updates with
-    ``z[k]``.  The NIS of update k is d^T S^-1 d, for the innovation
-    d = z[k] - x_prior and S = R + P_prior, read between the two."""
+    """The filter ``kf`` (its ``model``, ``q_eff``, ``r`` and ``p0``) over
+    a record: sample 0 initializes the estimate from ``z[0]``, then each
+    sample k predicts with ``u[k-1]`` and updates with ``z[k]``.  With
+    H = I, S = R + P_prior and K = P_prior S^-1; the NIS of update k is
+    d^T S^-1 d for the innovation d = z[k] - x_prior.
+
+    Returns the estimates ``x_hat`` (N, n) and ``nis`` (N,), NaN at sample
+    0, and the ``gains``, inverse innovation covariances ``s_inv`` and
+    posterior covariances ``p`` of updates 1..N-1, each (N-1, n, n)."""
+    a, b, q, r = kf.model.a_d, kf.model.b_d, kf.q_eff, kf.r
+    n = a.shape[0]
+    eye = np.eye(n)
+    updates = z.shape[0] - 1
     x_hat = np.empty_like(z)
     nis = np.full(z.shape[0], np.nan)
-    kf.x_hat = z[0].copy()
-    x_hat[0] = kf.x_hat
+    gains, s_invs, posteriors = (np.empty((updates, n, n)) for _ in range(3))
+    x = x_hat[0] = z[0]
+    p = kf.p0
     for k in range(1, z.shape[0]):
-        kf.predict(u[k - 1])
-        d = z[k] - kf.x_hat
-        s = kf.r + kf.p
-        kf.update(z[k])
-        x_hat[k] = kf.x_hat
+        x_prior = a @ x + b @ u[k - 1]
+        p_prior = a @ p @ a.T + q
+        s = r + p_prior
+        # S and P_prior are symmetric, so K^T = S^-1 P_prior
+        gain = np.linalg.solve(s, p_prior).T
+        d = z[k] - x_prior
+        x = x_hat[k] = x_prior + gain @ d
         nis[k] = d @ np.linalg.solve(s, d)
-    return x_hat, nis
+        i_k = eye - gain
+        p = i_k @ p_prior @ i_k.T + gain @ r @ gain.T
+        p = 0.5 * (p + p.T)
+        gains[k - 1], s_invs[k - 1], posteriors[k - 1] = gain, np.linalg.solve(s, eye), p
+    return SimpleNamespace(x_hat=x_hat, nis=nis, gains=gains, s_inv=s_invs, p=posteriors)
 
 
 def assert_close(actual, expected, rtol=1e-9):
@@ -45,27 +61,6 @@ def assert_close(actual, expected, rtol=1e-9):
     scale = max(1.0, float(np.abs(expected[np.isfinite(expected)]).max(initial=0.0)))
     np.testing.assert_array_equal(np.isnan(actual), np.isnan(expected))
     assert np.nanmax(np.abs(actual - expected), initial=0.0) <= rtol * scale
-
-
-def covariance_oracle(a, q, r, p0, steps):
-    """Gains, inverse innovation covariances and posterior covariances of
-    the first ``steps`` updates of the filter (a, q, r) from ``p0``, each
-    stacked (steps, n, n); with H = I, K = P_prior S^-1 and
-    S = R + P_prior."""
-    n = a.shape[0]
-    eye = np.eye(n)
-    p = p0
-    gains, s_invs, posteriors = (np.empty((steps, n, n)) for _ in range(3))
-    for k in range(steps):
-        p_prior = a @ p @ a.T + q
-        s = r + p_prior
-        # S and P_prior are symmetric, so K^T = S^-1 P_prior
-        gain = np.linalg.solve(s, p_prior).T
-        i_k = eye - gain
-        p = i_k @ p_prior @ i_k.T + gain @ r @ gain.T
-        p = 0.5 * (p + p.T)
-        gains[k], s_invs[k], posteriors[k] = gain, np.linalg.solve(s, eye), p
-    return gains, s_invs, posteriors
 
 
 def filter_schedule(sched, i=0):
@@ -81,14 +76,18 @@ def filter_schedule(sched, i=0):
     )
 
 
-def assert_schedule_matches_oracle(schedule, a, q, r, p0):
-    """The gains, inverse innovation covariances and final posterior of
-    one filter's ``filter_schedule`` against ``covariance_oracle``."""
+def assert_matches_oracle(x_hat, nis, schedule, oracle, p0):
+    """One filter's estimates, NIS (from sample 1) and ``filter_schedule``
+    (gains, inverse innovation covariances and final posterior, or ``p0``
+    for an empty schedule) against its ``step_oracle`` run."""
+    assert_close(x_hat, oracle.x_hat)
+    assert_close(nis[1:], oracle.nis[1:])
     steps = schedule.gains.shape[0]
-    gains, s_invs, posteriors = covariance_oracle(a, q, r, p0, steps)
-    assert_close(schedule.gains, gains)
-    assert_close(schedule.s_inv, s_invs)
-    assert_close(schedule.p, posteriors[-1] if steps else p0)
+    assert_close(schedule.gains, oracle.gains[:steps])
+    assert_close(schedule.s_inv, oracle.s_inv[:steps])
+    assert_close(schedule.p, oracle.p[steps - 1] if steps else p0)
+    if schedule.converged:
+        assert_close(schedule.p, oracle.p[-1])
 
 
 def riccati_oracle(a, q, r, tol=1e-14, iters=500000):

@@ -206,8 +206,9 @@ def run_plant_loop(cfg: SimConfig) -> Trace:
     if cfg.start == "zero":
         x0 = np.zeros(n)
     elif regulator is not None:
+        # the first sample's loads, an event at t = 0 included
         x0, integ_d, integ_q, _ = regulated_equilibrium(
-            topo, cfg.controller, cfg.initial_loads
+            topo, cfg.controller, loads[0].reshape(nb, 2)
         )
         regulator.integ_d[:] = integ_d
         regulator.integ_q[:] = integ_q

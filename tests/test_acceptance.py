@@ -139,13 +139,11 @@ def test_criterion_4_discretization_order(reference_topology):
 
 
 def test_criterion_5_kalman_core(reference_topology):
-    # scalar hand-computed case
+    # scalar hand-computed case: with A = 1, B = 0 and Q = 0 a step from
+    # the zero estimate is the update alone
     model = m.DiscreteLtiModel(np.array([[1.0]]), np.array([[0.0]]), 1.0, "euler")
-    est = KalmanEstimator(
-        model, q_eff=np.array([[0.0]]), r=np.array([[1.0]]),
-        x0=np.array([0.0]), p0=np.array([[1.0]]),
-    )
-    est.update(np.array([2.0]))
+    est = KalmanEstimator(model, q_eff=np.array([[0.0]]), r=np.array([[1.0]]), p0=np.array([[1.0]]))
+    est.step(np.array([0.0]), np.array([2.0]))
     scalar_ok = est.x_hat[0] == 1.0 and est.p[0, 0] == 0.5
 
     # steady-state covariance equals the fixed point of the iteration
@@ -232,12 +230,12 @@ def test_criterion_6_noisy_input_correction(reference_topology):
             truth[k] = x
         z = truth + v
         u_meas = u_base + mn
+        # both filters start from the first measurement, the production
+        # path's start
         for name, qq in (("corrected", q_eff), ("bare", q)):
-            kf = KalmanEstimator(disc, q_eff=qq, r=r, x0=z[0], p0=r.copy())
-            err = np.empty((steps - 1, 4))
-            for k in range(1, steps):
-                kf.step(u_meas[k - 1], z[k])
-                err[k - 1] = kf.x_hat - truth[k]
+            kf = KalmanEstimator(disc, q_eff=qq, r=r, p0=r.copy())
+            x_hat, _ = filter_record([kf], z[:, None], u_meas[:, None])
+            err = x_hat[0, 1:] - truth[1:]
             tail = err[steps // 2 :]
             scores[name].append(float(np.sqrt(np.mean(tail**2))))
     mean_corrected = np.mean(scores["corrected"])

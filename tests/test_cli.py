@@ -208,6 +208,19 @@ def test_a_duration_off_the_plant_step_grid_is_refused(tmp_path, capsys, duratio
     assert not out.exists()
 
 
+@pytest.mark.parametrize("event_time", [0.10004, 0.29995])
+def test_an_event_off_the_plant_step_grid_is_refused(tmp_path, capsys, event_time):
+    # the load would step at the next sample while the metrics scored the
+    # event from its configured time
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--duration", 0.3, "--event-time", event_time, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid simulation: event time_s {event_time!r} is not a whole number "
+        "of plant_step_s 0.0001\n"
+    )
+    assert not out.exists()
+
+
 def test_csv_round_trip_is_value_identical(tmp_path):
     rng = np.random.default_rng(12)
     t = np.round(np.arange(50) * 1e-4, 9)
@@ -903,12 +916,11 @@ def test_grid_without_lines_fails_estimate_with_a_plain_error(tmp_path, capsys):
     "event_time, problem",
     [
         (0, "event at 0.0 s: pre-event window holds no samples"),
-        # at the last sample, or between the last two: the horizon holds
-        # no sample after the event's first
+        # at the last sample: the horizon holds no sample after the
+        # event's first
         (0.3, "event at 0.3 s: recovery horizon holds no sample after the event's first"),
-        (0.29995, "event at 0.29995 s: recovery horizon holds no sample after the event's first"),
     ],
-    ids=["zero", "last-sample", "before-last-sample"],
+    ids=["zero", "last-sample"],
 )
 def test_event_at_time_zero_fails_estimate_with_a_plain_error(
     short_config, tmp_path, capsys, event_time, problem

@@ -147,7 +147,7 @@ def test_single_line_global_equals_standalone_line_filter():
     out = run_global(gest, volt_traces, line_trace)
 
     # standalone two-state filter fed the same data: the same arithmetic
-    # gives the same bits, and the per-step recursion agrees to rounding
+    # gives the same bits, and the oracle's own law agrees to rounding
     disc = discretize_exact(build_line_model(topo.lines[0], omega), 1.0 / rate)
     q_eff = disc.b_d @ m_in @ disc.b_d.T + q2
 
@@ -159,9 +159,9 @@ def test_single_line_global_equals_standalone_line_filter():
     )
     np.testing.assert_array_equal(out.x_hat, expected)
     np.testing.assert_array_equal(out.nis, expected_nis)
-    x_ref, nis_ref = step_oracle(standalone(), z_line, v1 - v2)
-    assert_close(out.x_hat, x_ref)
-    assert_close(out.nis, nis_ref)
+    oracle = step_oracle(standalone(), z_line, v1 - v2)
+    assert_close(out.x_hat, oracle.x_hat)
+    assert_close(out.nis, oracle.nis)
 
 
 def meshed_scenario():
@@ -189,9 +189,9 @@ def meshed_scenario():
 
 
 def global_step_oracle(result):
-    """``run_global``'s record run one ``KalmanEstimator.step`` at a time by
-    a fresh filter with the global estimator's model and noise, inputs
-    assembled here from the local voltage estimates."""
+    """``run_global``'s record run by the oracle with the global
+    estimator's model and noise, inputs assembled here from the local
+    voltage estimates."""
     est = result.global_estimator
     topo = est.topology
     gt = result.global_trace
@@ -205,8 +205,7 @@ def global_step_oracle(result):
         ]
     )
     z = gt.z_state[:, 4 * topo.n_buses :]
-    kf = KalmanEstimator(est.kf.model, q_eff=est.kf.q_eff, r=est.kf.r)
-    return step_oracle(kf, z, u)
+    return step_oracle(est.kf, z, u)
 
 
 @pytest.mark.parametrize("case", ["reference", "meshed"])
@@ -224,23 +223,22 @@ def test_global_estimator_matches_step_oracle(reference_scenario, case):
     result = m.estimate_scenario(scn, trace)
     kf = result.global_estimator.kf
     n = len(result.global_estimate)
-    stack = [mat[None] for mat in (kf.model.a_d, kf.q_eff, kf.r, kf.p)]
+    stack = [mat[None] for mat in (kf.model.a_d, kf.q_eff, kf.r, kf.p0)]
     updates = gain_schedule(*stack, n - 1).lengths[0]
     # the record holds the whole gain schedule plus a steady-gain stretch
     assert updates < n - 1
     if case == "meshed":
         assert kf.n_states == 16 and updates >= 5
-    x_ref, nis_ref = global_step_oracle(result)
-    assert_close(result.global_estimate.x_hat, x_ref)
-    assert_close(result.global_estimate.nis, nis_ref)
+    oracle = global_step_oracle(result)
+    assert_close(result.global_estimate.x_hat, oracle.x_hat)
+    assert_close(result.global_estimate.nis, oracle.nis)
 
 
 def test_no_production_path_steps_per_sample(reference_scenario, monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("per-step filter API called")
 
-    for name in ("predict", "update", "step"):
-        monkeypatch.setattr(KalmanEstimator, name, refuse)
+    monkeypatch.setattr(KalmanEstimator, "step", refuse)
     scn = dataclasses.replace(
         reference_scenario, sim=quiet_sim(reference_scenario, duration=0.1)
     )

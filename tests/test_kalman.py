@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from filter_oracle import (
     assert_close,
-    assert_schedule_matches_oracle,
+    assert_matches_oracle,
     dare_oracle,
     filter_schedule,
     riccati_oracle,
@@ -38,15 +38,9 @@ OMEGA_60 = 2 * math.pi * 60.0
 DGU1 = DguParams(r_t=1.1e-3, l_t=90e-6, c_t=50e-6)
 
 
-def scalar_estimator(a=1.0, b=0.0, q=0.0, r=1.0, p0=1.0, x0=0.0):
+def scalar_estimator(a=1.0, b=0.0, q=0.0, r=1.0, p0=1.0):
     model = DiscreteLtiModel(np.array([[a]]), np.array([[b]]), 1.0, "euler")
-    return KalmanEstimator(
-        model,
-        q_eff=np.array([[q]]),
-        r=np.array([[r]]),
-        x0=np.array([x0]),
-        p0=np.array([[p0]]),
-    )
+    return KalmanEstimator(model, q_eff=np.array([[q]]), r=np.array([[r]]), p0=np.array([[p0]]))
 
 
 def dgu_discrete(t_s=1e-4):
@@ -117,69 +111,68 @@ def test_effective_process_noise_psd_on_random_draws():
         assert np.linalg.eigvalsh(out).min() >= -1e-10 * max(1.0, np.abs(out).max())
 
 
-def test_predict_identity_keeps_state():
-    est = scalar_estimator(a=1.0, q=0.0, p0=1.0, x0=3.0)
-    est.predict(np.array([0.0]))
-    assert est.x_hat[0] == 3.0
-    assert est.p[0, 0] == 1.0
+def test_update_scalar_hand_recursion():
+    # A=1, B=0, Q=0 leaves the update alone. P=1, R=1, estimate 0,
+    # measurement 2: S=2, K=0.5, estimate 1, Joseph P = 0.25 + 0.25 = 0.5
+    est = scalar_estimator(p0=1.0, r=1.0)
+    est.step(np.array([0.0]), np.array([2.0]))
+    assert est.x_hat[0] == 1.0
+    assert est.p[0, 0] == 0.5
 
 
 def test_predict_scalar_covariance():
-    est = scalar_estimator(a=2.0, q=0.5, p0=1.0)
-    est.predict(np.array([0.0]))
-    assert est.p[0, 0] == 4.5
+    # A=2, B=1, Q=0.5, P=1, R=1, estimate 0, input 1, measurement 12:
+    # prior estimate 1 and P_prior 4.5, S=5.5, K=9/11, estimate 1 + 9 = 10,
+    # Joseph P = (2/11)^2 4.5 + (9/11)^2 = 9/11
+    est = scalar_estimator(a=2.0, b=1.0, q=0.5, p0=1.0, r=1.0)
+    est.step(np.array([1.0]), np.array([12.0]))
+    assert est.x_hat[0] == pytest.approx(10.0, rel=1e-15)
+    assert est.p[0, 0] == pytest.approx(9.0 / 11.0, rel=1e-15)
 
 
 def test_predict_rejects_wrong_input_shape():
     est = scalar_estimator()
-    with pytest.raises(ValueError):
-        est.predict(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="^input must have shape"):
+        est.step(np.array([1.0, 2.0]), np.array([0.0]))
+    assert est.x_hat[0] == 0.0 and est.p[0, 0] == 1.0
 
 
-def test_update_scalar_hand_recursion():
-    # P=1, R=1, prior estimate 0, measurement 2:
-    # S=2, K=0.5, posterior estimate 1, Joseph P = 0.25 + 0.25 = 0.5
-    est = scalar_estimator(p0=1.0, r=1.0, x0=0.0)
-    innovation, postfit = est.update(np.array([2.0]))
-    assert innovation[0] == 2.0
-    assert est.x_hat[0] == 1.0
-    assert est.p[0, 0] == 0.5
-    assert postfit[0] == 1.0
+def test_update_rejects_wrong_measurement_shape():
+    est = scalar_estimator()
+    with pytest.raises(ValueError, match="^measurement must have shape"):
+        est.step(np.array([0.0]), np.array([1.0, 2.0]))
+    assert est.x_hat[0] == 0.0 and est.p[0, 0] == 1.0
 
 
 def test_update_huge_r_leaves_estimate():
     model = DiscreteLtiModel(np.eye(2), np.zeros((2, 1)), 1.0, "euler")
-    est = KalmanEstimator(
-        model, q_eff=np.zeros((2, 2)), r=1e12 * np.eye(2), p0=np.eye(2),
-        x0=np.array([1.0, -1.0]),
-    )
-    est.update(np.array([5.0, 5.0]))
-    assert np.abs(est.x_hat - np.array([1.0, -1.0])).max() < 1e-10
+    est = KalmanEstimator(model, q_eff=np.zeros((2, 2)), r=1e12 * np.eye(2), p0=np.eye(2))
+    est.step(np.zeros(1), np.array([5.0, 5.0]))
+    assert np.abs(est.x_hat).max() < 1e-10
 
 
 def test_update_zero_innovation_contracts_covariance():
-    est = scalar_estimator(p0=2.0, r=1.0, x0=0.7)
-    innovation, _ = est.update(np.array([0.7]))
-    assert innovation[0] == 0.0
-    assert est.x_hat[0] == 0.7
+    est = scalar_estimator(p0=2.0, r=1.0)
+    est.step(np.array([0.0]), np.array([0.0]))
+    assert est.x_hat[0] == 0.0
     assert est.p[0, 0] < 2.0
 
 
-def test_step_equals_predict_then_update():
+def test_step_matches_the_oracle_from_zero():
+    """``step`` starts from a zero estimate, so it runs the oracle's
+    filter over a record whose first measurement is zero."""
     disc = dgu_discrete()
     spec = NoiseSpec.from_std([0.5] * 4, [30.0, 30.0, 20.0, 20.0], [2.0, 2.0, 1.0, 1.0])
-    q_eff = effective_process_noise(spec.q, disc.b_d, spec.m)
-    a = KalmanEstimator(disc, q_eff=q_eff, r=spec.r)
-    b = KalmanEstimator(disc, q_eff=q_eff, r=spec.r)
+    est = KalmanEstimator(disc, q_eff=effective_process_noise(spec.q, disc.b_d, spec.m), r=spec.r)
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        u = rng.standard_normal(4)
-        z = rng.standard_normal(4)
-        a.step(u, z)
-        b.predict(u)
-        b.update(z)
-        np.testing.assert_array_equal(a.x_hat, b.x_hat)
-        np.testing.assert_array_equal(a.p, b.p)
+    u = rng.standard_normal((50, 4)) * 100.0
+    z = rng.standard_normal((51, 4)) * 100.0
+    z[0] = 0.0
+    oracle = step_oracle(est, z, u)
+    for k in range(1, 51):
+        est.step(u[k - 1], z[k])
+        assert_close(est.x_hat, oracle.x_hat[k])
+        assert_close(est.p, oracle.p[k - 1])
 
 
 def test_exact_measurements_drive_estimate_to_truth():
@@ -188,14 +181,9 @@ def test_exact_measurements_drive_estimate_to_truth():
     a *= 0.9 / np.abs(np.linalg.eigvals(a)).max()
     b = rng.standard_normal((3, 2))
     model = DiscreteLtiModel(a, b, 1.0, "euler")
-    est = KalmanEstimator(
-        model,
-        q_eff=np.zeros((3, 3)),
-        r=1e-9 * np.eye(3),
-        x0=np.array([100.0, -50.0, 20.0]),
-        p0=np.eye(3),
-    )
-    x = np.zeros(3)
+    est = KalmanEstimator(model, q_eff=np.zeros((3, 3)), r=1e-9 * np.eye(3), p0=np.eye(3))
+    # the truth starts far from the estimate's zero
+    x = np.array([100.0, -50.0, 20.0])
     for _ in range(100):
         u = rng.standard_normal(2)
         x = a @ x + b @ u
@@ -236,7 +224,8 @@ def test_covariance_stays_symmetric_psd_under_random_steps():
 
 
 def test_larger_r_never_gains_more():
-    # the covariance reduction K S K^T = P_prior - P_post shrinks when R grows
+    # the covariance reduction K S K^T = P_prior - P_post shrinks when R
+    # grows; with A = I and Q = 0, P_prior is P
     rng = np.random.default_rng(21)
     for n in (1, 2):
         g = rng.standard_normal((n, n))
@@ -248,7 +237,7 @@ def test_larger_r_never_gains_more():
         for r in (r1, r2):
             model = DiscreteLtiModel(np.eye(n), np.zeros((n, 1)), 1.0, "euler")
             est = KalmanEstimator(model, q_eff=np.zeros((n, n)), r=r, p0=p0)
-            est.update(rng.standard_normal(n))
+            est.step(np.zeros(1), rng.standard_normal(n))
             reductions.append(np.diag(p0 - est.p))
         assert (reductions[1] <= reductions[0] + 1e-12).all()
 
@@ -308,8 +297,9 @@ def test_innovation_consistency_detects_bias():
 
 def test_singular_innovation_covariance_raises():
     est = scalar_estimator(q=0.0, r=0.0, p0=0.0)
-    with pytest.raises(np.linalg.LinAlgError):
-        est.update(np.array([1.0]))
+    with pytest.raises(CovarianceError, match="not positive definite") as info:
+        est.step(np.array([0.0]), np.array([1.0]))
+    assert info.value.step is None
 
 
 @pytest.mark.parametrize("eps", [1e-14, 1e-12, 5e-12])
@@ -317,7 +307,8 @@ def test_record_and_step_filters_give_one_innovation_verdict(eps):
     """R = G diag(eps, 3) G^T with G a rotation by 0.3 rad, a condition
     number of 6e11 to 3e14 around the 1e12 bound: ``filter_record`` and
     ``KalmanEstimator.step`` must both accept or both reject it, and give
-    the same estimates where they accept."""
+    the oracle's estimates where they accept.  The record's first
+    measurement is zero, the estimate ``step`` starts from."""
     c, s = math.cos(0.3), math.sin(0.3)
     rot = np.array([[c, -s], [s, c]])
     r = rot @ np.diag([eps, 3.0]) @ rot.T
@@ -328,28 +319,31 @@ def test_record_and_step_filters_give_one_innovation_verdict(eps):
 
     rng = np.random.default_rng(12)
     z = rng.standard_normal((20, 2))
+    z[0] = 0.0
     u = rng.standard_normal((20, 1))
+
+    def stepped():
+        kf = fresh()
+        x_hat = np.zeros_like(z)
+        for k in range(1, len(z)):
+            kf.step(u[k - 1], z[k])
+            x_hat[k] = kf.x_hat
+        return x_hat
+
     outcomes = []
-    for run in (
-        lambda: filter_record([fresh()], z[:, None], u[:, None]),
-        lambda: step_oracle(fresh(), z, u),
-    ):
+    for run in (lambda: filter_record([fresh()], z[:, None], u[:, None])[0][0], stepped):
         try:
             outcomes.append(run())
-        except np.linalg.LinAlgError as exc:
+        except CovarianceError as exc:
             outcomes.append(str(exc))
     record, step = outcomes
     assert isinstance(record, str) == isinstance(step, str) == (eps < 1e-12)
     if isinstance(record, str):
         assert record == step and "numerically singular" in record
     else:
-        assert_close(record[0][0], step[0])
-
-
-def test_update_rejects_wrong_measurement_shape():
-    est = scalar_estimator()
-    with pytest.raises(ValueError):
-        est.update(np.array([1.0, 2.0]))
+        expected = step_oracle(fresh(), z, u).x_hat
+        assert_close(record, expected)
+        assert_close(step, expected)
 
 
 def _stack(*matrices):
@@ -378,14 +372,9 @@ def _compare_with_oracle(seed, n, n_inputs, radius, steps):
     z = rng.standard_normal((steps, n)) * 10.0 + 50.0
     u = rng.standard_normal((steps, n_inputs))
     split = KalmanEstimator(model, q_eff=q, r=r, p0=p0)
-    oracle = KalmanEstimator(model, q_eff=q, r=r, p0=p0)
     x_hat, nis = (out[0] for out in filter_record([split], z[:, None], u[:, None]))
-    x_ref, nis_ref = step_oracle(oracle, z, u)
-    assert_close(x_hat, x_ref)
-    assert_close(nis[1:], nis_ref[1:])
     schedule = filter_schedule(schedules_of([split], steps - 1))
-    assert_close(schedule.p, oracle.p)
-    assert_schedule_matches_oracle(schedule, model.a_d, q, r, p0)
+    assert_matches_oracle(x_hat, nis, schedule, step_oracle(split, z, u), p0)
     return schedule
 
 
@@ -431,16 +420,12 @@ def _compare_stack_with_oracle(filters, steps, rng):
     x_hat, nis = filter_record(split, z, u)
     stacked = schedules_of(split, steps - 1)
     schedules = [filter_schedule(stacked, i) for i in range(len(filters))]
-    for i, (sched, oracle) in enumerate(zip(schedules, fresh())):
-        x_ref, nis_ref = step_oracle(oracle, z[:, i], u[:, i])
-        assert_close(x_hat[i], x_ref)
-        assert_close(nis[i, 1:], nis_ref[1:])
-        assert_close(sched.p, oracle.p)
+    for i, (sched, kf) in enumerate(zip(schedules, split)):
+        oracle = step_oracle(kf, z[:, i], u[:, i])
+        assert_matches_oracle(x_hat[i], nis[i], sched, oracle, kf.p0)
         alone_x, alone_nis = filter_record([fresh()[i]], z, u, [i])
         np.testing.assert_array_equal(alone_x[0], x_hat[i])
         np.testing.assert_array_equal(alone_nis[0], nis[i])
-    for sched, (model, q, r, p0) in zip(schedules, filters):
-        assert_schedule_matches_oracle(sched, model.a_d, q, r, p0)
     return schedules
 
 
@@ -702,7 +687,7 @@ def _clear_caches():
 def test_memo_hit_equals_a_cold_call():
     _clear_caches()
     kf = dgu_estimator()
-    cold = filter_schedule(gain_schedule(*_stack(kf.model.a_d, kf.q_eff, kf.r, kf.p), 300))
+    cold = filter_schedule(gain_schedule(*_stack(kf.model.a_d, kf.q_eff, kf.r, kf.p0), 300))
     first = schedules_of([dgu_estimator()], 300)
     hit = schedules_of([dgu_estimator()], 300)
     assert kalman._schedules.cache_info()[:2] == (1, 1)

@@ -117,6 +117,22 @@ def test_line_params_validation():
         LineParams(1, 2, 1.0, 0.0)
 
 
+def test_lines_whose_labels_collide_are_refused():
+    # on a connected 112-bus ring, lines 1-112 and 11-12 would both be
+    # labelled 1112, so the plant's state labels and the trace columns
+    # would hold i_d1112 twice
+    ring = [(1, 112)] + [(b, b + 1) for b in range(1, 112)]
+    with pytest.raises(
+        ValueError, match=r"^lines between buses \(1, 112\) and \(11, 12\) share the label '1112'$"
+    ):
+        MicrogridTopology(
+            n_buses=112,
+            dgus=(DGU1,) * 112,
+            lines=tuple(LineParams(a, b, 1.0, 1e-3) for a, b in ring),
+            omega=OMEGA_60,
+        )
+
+
 def test_topology_validation():
     dgus = (DGU1, DGU1)
     with pytest.raises(ValueError, match="disconnected"):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from grid_strategies import random_grids
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sim_oracle import (
@@ -33,7 +34,7 @@ from microdse import (
     run_plant,
 )
 from microdse.estimation import global_input_covariance
-from microdse.models import DguParams, LineParams, MicrogridTopology, build_dgu_model
+from microdse.models import build_dgu_model
 from microdse.sim import _closed_loop, _output_current_map, _raw_output
 
 LOADS = np.array([[150.0, 30.0], [220.0, 40.0], [180.0, 35.0]])
@@ -317,6 +318,26 @@ def test_a_duration_off_the_plant_step_grid_is_refused(reference_topology, durat
         open_loop_config(reference_topology, duration=duration)
 
 
+@pytest.mark.parametrize("time_s", [0.10004, 0.29995, 1e-13])
+def test_an_event_off_the_plant_step_grid_is_refused(reference_topology, time_s):
+    events = EventSchedule((LoadStep(time_s, 1, 50.0, 0.0),))
+    with pytest.raises(
+        ValueError,
+        match=rf"^event time_s {time_s!r} is not a whole number of plant_step_s 0\.0001$",
+    ):
+        open_loop_config(reference_topology, duration=0.3, events=events)
+
+
+@pytest.mark.parametrize("time_s", [1e-4, 0.1, 0.10000000001, 0.3])
+def test_an_event_on_the_plant_step_grid_steps_the_load_at_its_sample(reference_topology, time_s):
+    # within the 1e-9 relative rule an event time is a whole number of
+    # steps; bus 1's output current jumps by the step at that sample only
+    events = EventSchedule((LoadStep(time_s, 1, 50.0, 0.0),))
+    trace = run_plant(open_loop_config(reference_topology, duration=0.3, events=events))
+    jumps = np.flatnonzero(np.abs(np.diff(trace.u_true[:, 2])) > 25.0) + 1
+    assert jumps.tolist() == [round(time_s / 1e-4)]
+
+
 @pytest.mark.parametrize("duration", [1e-4, 0.3, 0.29999999999])
 def test_a_duration_on_the_plant_step_grid_runs_its_samples(reference_topology, duration):
     # within the 1e-9 relative rule a duration is a whole number of steps
@@ -378,6 +399,14 @@ def test_linear_pass_matches_loop_on_reference_scenario(reference_scenario):
     assert_matches_loop_oracle(reference_scenario.sim)
 
 
+def test_linear_pass_matches_loop_with_an_event_at_time_zero(reference_scenario):
+    # both start at the operating point of the first sample's loads
+    events = EventSchedule((LoadStep(0.0, 1, 150.0, 30.0),))
+    assert_matches_loop_oracle(
+        dataclasses.replace(reference_scenario.sim, duration_s=0.05, events=events)
+    )
+
+
 @pytest.mark.parametrize("segment_values", [None, 1])
 def test_linear_pass_matches_loop_open_loop(reference_topology, monkeypatch, segment_values):
     if segment_values is not None:
@@ -435,32 +464,6 @@ def test_equilibrium_outside_the_clamp_is_rejected(reference_scenario, monkeypat
             simulate(cfg)
 
 
-@st.composite
-def random_grids(draw, min_buses=2, max_buses=6, max_chords=3):
-    """Connected grids: a random spanning tree plus optional chords, so
-    both radial and meshed grids are drawn."""
-    nb = draw(st.integers(min_buses, max_buses))
-    pairs = {(draw(st.integers(1, b - 1)), b) for b in range(2, nb + 1)}
-    others = [(a, b) for a in range(1, nb + 1) for b in range(a + 1, nb + 1)]
-    if others:
-        pairs |= set(draw(st.lists(st.sampled_from(others), max_size=max_chords)))
-    uniform = lambda lo, hi: draw(st.floats(lo, hi))  # noqa: E731
-    topology = MicrogridTopology(
-        n_buses=nb,
-        dgus=tuple(
-            DguParams(uniform(0.9e-3, 1.3e-3), uniform(90e-6, 110e-6), uniform(50e-6, 60e-6))
-            for _ in range(nb)
-        ),
-        lines=tuple(
-            LineParams(a, b, uniform(0.9, 1.3), uniform(0.44e-3, 0.67e-3))
-            for a, b in sorted(pairs)
-        ),
-        omega=2.0 * math.pi * 60.0,
-    )
-    loads = np.array([[uniform(150.0, 220.0), uniform(30.0, 40.0)] for _ in range(nb)])
-    return topology, loads
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     grid=random_grids(),
@@ -482,7 +485,7 @@ def test_linear_pass_matches_loop_on_random_grids(reference_scenario, grid, seed
         plant_step_s=1e-4,
         seed=seed,
         initial_loads=loads,
-        events=EventSchedule((LoadStep(0.5 * steps * 1e-4, nb, 50.0, 10.0),)),
+        events=EventSchedule((LoadStep((steps // 2) * 1e-4, nb, 50.0, 10.0),)),
         noise=PROCESS_NOISE,
         controller=controller,
         start=start,
